@@ -19,6 +19,7 @@ Errors print a single ``error:<class>: message`` line and exit nonzero.
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -268,9 +269,12 @@ class _Reader:
 
     def floatc(self, i, value, col):
         try:
-            return float(value)
+            x = float(value)
         except ValueError as exc:
             raise SchemaError(f"{self.path} row {i}: column {col}: not a number: {value!r}") from exc
+        if not math.isfinite(x):
+            raise SchemaError(f"{self.path} row {i}: column {col}: not a finite number: {value!r}")
+        return x
 
     def bitc(self, i, value, col):
         if value not in ("0", "1"):
@@ -355,6 +359,8 @@ def write_scans_csv(path, features: dict, order) -> None:
 
 
 def read_scans_csv(path) -> dict:
+    """scan_id -> feature vector; each vector is a row view of one matrix,
+    and a NaN or inf anywhere fails with its row and column."""
     try:
         fh = open(path, encoding="utf-8", newline="")
     except FileNotFoundError as exc:
@@ -366,18 +372,28 @@ def read_scans_csv(path) -> dict:
     header = rows[0]
     if len(header) < 2 or header[0] != "scan_id" or header[1:] != [f"f{j}" for j in range(len(header) - 1)]:
         raise SchemaError(f"{path} row 1: expected header scan_id,f0,...,f{{d-1}}")
-    features = {}
+    ids, seen = [], set()
+    mat = np.empty((len(rows) - 1, len(header) - 1))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise SchemaError(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
         sid = row[0]
-        if sid in features:
+        if sid in seen:
             raise SchemaError(f"{path} row {i}: duplicate scan_id {sid!r}")
+        seen.add(sid)
+        ids.append(sid)
         try:
-            features[sid] = np.array([float(v) for v in row[1:]], dtype=np.float64)
+            mat[i - 2] = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise SchemaError(f"{path} row {i}: not a number in feature columns") from exc
-    return features
+    finite = np.isfinite(mat)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise SchemaError(
+            f"{path} row {r + 2}: column {header[c + 1]}: "
+            f"not a finite number: {rows[r + 1][c + 1]!r}"
+        )
+    return dict(zip(ids, mat))
 
 
 def write_truth_csv(path, onsets: dict, order) -> None:

@@ -78,6 +78,39 @@ def _check_binary(x, name):
     return a
 
 
+def _scalar_or_array(value):
+    return float(value) if value.ndim == 0 else value
+
+
+def _check_crl_inputs(t_pred, t_d, p, epsilon):
+    if not np.all(np.asarray(epsilon) > 0):
+        raise ValueError("epsilon must be positive")
+    return (
+        _as_float_array(t_pred, "t_pred"),
+        _as_float_array(t_d, "t_d"),
+        _check_binary(p, "p"),
+        _as_float_array(epsilon, "epsilon"),
+    )
+
+
+def crl_residual(t_pred, t_d, p, epsilon):
+    """Signed residual ``r`` of the censored regression loss, chosen per
+    branch, so that ``crl = r**2`` and ``crl_grad = 2*r``.
+
+    Unchecked kernel: the caller passes float arrays, a binary ``p`` and a
+    positive ``epsilon``. :func:`crl` and :func:`crl_grad` check their
+    inputs and then call it; the training loop, whose inputs were checked
+    once when its dataset was built, calls it directly.
+    """
+    d = t_pred - t_d
+    shifted = d + epsilon
+    return np.where(
+        p == 0,
+        np.minimum(0.0, d - epsilon),
+        np.where(t_d > epsilon, shifted, np.maximum(0.0, shifted)),
+    )
+
+
 def crl(t_pred, t_d, p, epsilon):
     """Censored regression loss; see the module docstring for the branches.
 
@@ -85,18 +118,8 @@ def crl(t_pred, t_d, p, epsilon):
     shape. The branch boundary ``t_d == epsilon`` belongs to the clamped
     (third) case.
     """
-    if not np.all(np.asarray(epsilon) > 0):
-        raise ValueError("epsilon must be positive")
-    tp = _as_float_array(t_pred, "t_pred")
-    td = _as_float_array(t_d, "t_d")
-    pp = _check_binary(p, "p")
-    eps = _as_float_array(epsilon, "epsilon")
-
-    censored = np.minimum(0.0, tp - td - eps) ** 2
-    over = np.square(tp - td + eps)
-    clamped = np.maximum(0.0, tp - td + eps) ** 2
-    value = np.where(pp == 0, censored, np.where(td > eps, over, clamped))
-    return float(value) if value.ndim == 0 else value
+    r = crl_residual(*_check_crl_inputs(t_pred, t_d, p, epsilon))
+    return _scalar_or_array(np.square(r))
 
 
 def crl_grad(t_pred, t_d, p, epsilon):
@@ -106,18 +129,15 @@ def crl_grad(t_pred, t_d, p, epsilon):
     (the quadratic and the flat region meet with slope zero), so the
     one-sided value returned there agrees from both sides.
     """
-    if not np.all(np.asarray(epsilon) > 0):
-        raise ValueError("epsilon must be positive")
-    tp = _as_float_array(t_pred, "t_pred")
-    td = _as_float_array(t_d, "t_d")
-    pp = _check_binary(p, "p")
-    eps = _as_float_array(epsilon, "epsilon")
+    r = crl_residual(*_check_crl_inputs(t_pred, t_d, p, epsilon))
+    return _scalar_or_array(2.0 * r)
 
-    g_censored = 2.0 * np.minimum(0.0, tp - td - eps)
-    g_over = 2.0 * (tp - td + eps)
-    g_clamped = 2.0 * np.maximum(0.0, tp - td + eps)
-    grad = np.where(pp == 0, g_censored, np.where(td > eps, g_over, g_clamped))
-    return float(grad) if grad.ndim == 0 else grad
+
+def cel_kernel(y_hat, y, prob_clamp):
+    """Unchecked cross entropy behind :func:`cel`: ``y_hat`` in [0, 1],
+    binary ``y`` and ``prob_clamp`` in (0, 0.5) are the caller's job."""
+    q = np.minimum(np.maximum(y_hat, prob_clamp), 1.0 - prob_clamp)  # np.clip, less overhead
+    return -(y * np.log(q) + (1 - y) * np.log1p(-q))
 
 
 def cel(y_hat, y, prob_clamp=1e-7):
@@ -129,9 +149,19 @@ def cel(y_hat, y, prob_clamp=1e-7):
     yy = _check_binary(y, "y")
     if not 0 < prob_clamp < 0.5:
         raise ValueError(f"prob_clamp must lie in (0, 0.5), got {prob_clamp}")
-    q = np.clip(yh, prob_clamp, 1.0 - prob_clamp)
-    value = -(yy * np.log(q) + (1 - yy) * np.log1p(-q))
-    return float(value) if value.ndim == 0 else value
+    return _scalar_or_array(cel_kernel(yh, yy, prob_clamp))
+
+
+def fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
+    """Per-scan joint loss ``lam * crl + cel`` and its derivative
+    ``lam * crl_grad`` with respect to ``t_pred``, from one residual.
+
+    Unchecked, like the kernels it calls; equal bit for bit to the checked
+    functions on valid input.
+    """
+    r = crl_residual(t_pred, t_d, p, cfg.epsilon)
+    loss = cfg.lam * np.square(r) + cel_kernel(y_hat, y, cfg.prob_clamp)
+    return loss, cfg.lam * (2.0 * r)
 
 
 def cel_grad_logit(logit, y):
@@ -144,8 +174,7 @@ def cel_grad_logit(logit, y):
     """
     lg = _as_float_array(logit, "logit")
     yy = _check_binary(y, "y")
-    grad = expit(lg) - yy
-    return float(grad) if grad.ndim == 0 else grad
+    return _scalar_or_array(expit(lg) - yy)
 
 
 def joint_loss(pred: Prediction, label: ScanLabel, cfg: LossConfig) -> float:

@@ -112,19 +112,16 @@ def roc_auc(scores, labels):
     auc = (ranks[lab == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
     order = np.argsort(-s, kind="stable")
-    points = [RocPoint(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and s[order[j]] == s[order[i]]:
-            if lab[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append(RocPoint(float(s[order[i]]), fp / n_neg, tp / n_pos))
-        i = j
+    s_desc = s[order]
+    # one ROC point per run of equal scores, taken at the run's last index
+    last = np.flatnonzero(np.append(s_desc[1:] != s_desc[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    tp = np.cumsum(lab[order] == 1)[last]
+    fp = last + 1 - tp
+    points = [RocPoint(float("inf"), 0.0, 0.0)] + [
+        RocPoint(threshold, f / n_neg, t / n_pos)
+        for threshold, f, t in zip(s_desc[first].tolist(), fp.tolist(), tp.tolist())
+    ]
     return float(auc), points
 
 

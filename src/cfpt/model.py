@@ -15,13 +15,16 @@ seeds, so a (seed, config, data) triple fully determines every output.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .labels import ScanLabel
-from .losses import LossConfig, Prediction, cel, crl, crl_grad
+# crl, crl_grad and cel stay importable here for perfbench's tracer, which
+# wraps functions in the namespace of the module that calls them
+from .losses import LossConfig, Prediction, cel, crl, crl_grad, fused_joint_loss  # noqa: F401
 from .metrics import roc_auc
 
 ADAM_BETA1 = 0.9
@@ -108,6 +111,25 @@ class ScanDataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
+    def validate(self, what: str = "dataset") -> None:
+        """Raise ValueError unless features and t_d are finite and p and y
+        are binary, naming the first offending scan.
+
+        The one check of training data: the training loop itself runs
+        unchecked kernels.
+        """
+        for column, ok, problem in (
+            ("features", np.isfinite(self.features), "non-finite values"),
+            ("t_d", np.isfinite(self.t_d), "a non-finite value"),
+            ("p", (self.p == 0) | (self.p == 1), "a value other than 0 or 1"),
+            ("y", (self.y == 0) | (self.y == 1), "a value other than 0 or 1"),
+        ):
+            if not ok.all():
+                row = int(np.argwhere(~ok)[0][0])
+                raise ValueError(
+                    f"{what}: {column} of scan {self.scan_ids[row]!r} has {problem}"
+                )
+
     def patients(self) -> list[str]:
         """Unique patient ids, in first-appearance order."""
         seen = {}
@@ -143,12 +165,13 @@ class ScanDataset:
 
 def build_dataset(labels: list[ScanLabel], features: dict) -> ScanDataset:
     """Assemble a :class:`ScanDataset` from labels and a scan_id -> feature
-    vector mapping; label order is preserved."""
+    vector mapping; label order is preserved. Non-finite features or t_d
+    and non-binary p or y raise ValueError naming the scan."""
     missing = [lb.scan_id for lb in labels if lb.scan_id not in features]
     if missing:
         raise ValueError(f"features missing for scans: {missing[:5]}")
     mat = np.asarray([features[lb.scan_id] for lb in labels], dtype=np.float64)
-    return ScanDataset(
+    ds = ScanDataset(
         [lb.scan_id for lb in labels],
         [lb.patient_id for lb in labels],
         mat,
@@ -156,6 +179,8 @@ def build_dataset(labels: list[ScanLabel], features: dict) -> ScanDataset:
         np.array([lb.p for lb in labels], dtype=np.int64),
         np.array([lb.y for lb in labels], dtype=np.int64),
     )
+    ds.validate()
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +245,10 @@ def forward(params: dict, features) -> tuple[float, float]:
     return float(y_hat[0]), float(t_pred[0])
 
 
-def _batch_loss_arrays(y_hat, t_pred, t_d, p, y, cfg: LossConfig) -> float:
-    total = cfg.lam * crl(t_pred, t_d, p, cfg.epsilon) + cel(y_hat, y, cfg.prob_clamp)
-    return float(np.mean(total))
+def _batch_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
+    """Mean joint loss over a batch and the per-scan ``lam * crl_grad``."""
+    loss, d_tpred = fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg)
+    return float(loss.sum() / loss.size), d_tpred  # np.mean, less overhead
 
 
 def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
@@ -232,16 +258,23 @@ def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
     shapes as ``params``. The classification path uses the collapsed
     sigmoid/cross-entropy logit gradient; the regression path uses the
     closed-form censored-regression derivative.
+
+    The labels are not checked here: callers pass finite ``t_d`` and
+    binary ``p``/``y``, as :meth:`ScanDataset.validate` ensures for
+    :func:`train`. Non-finite predictions raise ValueError, so a diverging
+    run stops at the step where it diverged.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("backward expects a non-empty 2-d feature batch")
     n = X.shape[0]
-    y_hat, t_pred, logit, hiddens = _forward_batch(params, X)
-    loss = _batch_loss_arrays(y_hat, t_pred, t_d, p, y, loss_cfg)
+    y_hat, t_pred, _, hiddens = _forward_batch(params, X)
+    if not (math.isfinite(t_pred.sum()) and math.isfinite(y_hat.sum())):
+        raise ValueError("training diverged: non-finite predictions in a minibatch")
+    loss, d_tpred = _batch_loss(y_hat, t_pred, t_d, p, y, loss_cfg)
 
-    d_logit = (expit(logit) - y) / n
-    d_tpred = loss_cfg.lam * crl_grad(t_pred, t_d, p, loss_cfg.epsilon) / n
+    d_logit = (y_hat - y) / n
+    d_tpred = d_tpred / n
 
     h = hiddens[-1]
     grads = {
@@ -250,7 +283,7 @@ def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
         "w_reg": h.T @ d_tpred,
         "b_reg": np.array([d_tpred.sum()]),
     }
-    d_h = np.outer(d_logit, params["w_cls"]) + np.outer(d_tpred, params["w_reg"])
+    d_h = d_logit[:, None] * params["w_cls"] + d_tpred[:, None] * params["w_reg"]
     for i in range(_n_hidden(params) - 1, -1, -1):
         dz = d_h * (hiddens[i + 1] > 0)
         grads[f"W{i}"] = hiddens[i].T @ dz
@@ -266,41 +299,56 @@ def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
 
 @dataclass
 class AdamState:
+    """Adam's parameters and moments, each one flat float64 buffer.
+
+    ``theta``, ``m`` and ``v`` lay the parameters end to end in the key
+    order of ``params``, whose values are views into ``theta``: an update
+    of ``theta`` is an update of every parameter array.
+    """
+
     params: dict
-    m: dict
-    v: dict
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
-        return cls(
-            params=params,
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            v={k: np.zeros_like(v) for k, v in params.items()},
-        )
+        """Copy ``params`` into a flat buffer and rebind each entry of the
+        dict, in place, to its view, so the caller's dict stays live."""
+        theta = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
+        offset = 0
+        for k, value in params.items():
+            params[k] = theta[offset : offset + value.size].reshape(value.shape)
+            offset += value.size
+        return cls(params, theta, np.zeros_like(theta), np.zeros_like(theta))
 
 
 def adam_step(state: AdamState, grads: dict, lr: float, weight_decay: float) -> AdamState:
     """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected).
 
     Weight decay enters as a plain L2 gradient term (g += wd * param)
-    before the moment updates. The state is updated in place and returned.
+    before the moment updates. The gradients are flattened once and the
+    update runs on the flat buffers, in place; the state is returned.
     """
-    if set(grads) != set(state.params):
+    if grads.keys() != state.params.keys():
         raise ValueError("gradient keys do not match parameter keys")
+    for k, theta in state.params.items():
+        if grads[k].shape != theta.shape:
+            raise ValueError(f"gradient shape mismatch for {k!r}")
+    g = np.concatenate([grads[k] for k in state.params], axis=None, dtype=np.float64)
     state.t += 1
     t = state.t
-    for k, theta in state.params.items():
-        g = grads[k]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {k!r}")
-        if weight_decay != 0.0:
-            g = g + weight_decay * theta
-        state.m[k] = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
-        state.v[k] = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[k] / (1 - ADAM_BETA1**t)
-        v_hat = state.v[k] / (1 - ADAM_BETA2**t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if weight_decay != 0.0:
+        g += weight_decay * state.theta
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    state.theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -314,11 +362,6 @@ def effective_lr(epoch: int, tcfg: TrainConfig) -> float:
 # training and cross-validation
 
 
-def _dataset_loss(params: dict, ds: ScanDataset, cfg: LossConfig) -> float:
-    y_hat, t_pred, _, _ = _forward_batch(params, ds.features)
-    return _batch_loss_arrays(y_hat, t_pred, ds.t_d, ds.p, ds.y, cfg)
-
-
 def train(
     train_set: ScanDataset,
     val_set: ScanDataset,
@@ -328,10 +371,15 @@ def train(
     """Mini-batch Adam with per-epoch reshuffling and step lr decay.
 
     Returns the parameter snapshot from the epoch of minimum validation
-    loss (earliest epoch on ties) together with the full history.
+    loss (earliest epoch on ties) together with the full history. Both
+    sets are validated once here; a minibatch with non-finite predictions,
+    or a run in which no epoch has a finite validation loss, raises
+    ValueError.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    train_set.validate("train set")
+    val_set.validate("validation set")
     overlap = set(train_set.patient_ids) & set(val_set.patient_ids)
     if overlap:
         raise ValueError(
@@ -350,30 +398,30 @@ def train(
 
     history = TrainHistory([], [], [], 0)
     best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = None
     best_epoch = 0
 
     for epoch in range(1, tcfg.max_epochs + 1):
         lr = effective_lr(epoch, tcfg)
         order = rng.permutation(n)
+        X, t_d, p, y = (
+            a[order] for a in (train_set.features, train_set.t_d, train_set.p, train_set.y)
+        )
         loss_sum = 0.0
         for start in range(0, n, tcfg.batch_size):
-            idx = order[start : start + tcfg.batch_size]
+            batch = slice(start, start + tcfg.batch_size)
             grads, loss = backward(
-                params,
-                train_set.features[idx],
-                train_set.t_d[idx],
-                train_set.p[idx],
-                train_set.y[idx],
-                tcfg.loss,
+                params, X[batch], t_d[batch], p[batch], y[batch], tcfg.loss
             )
             adam_step(state, grads, lr, tcfg.weight_decay)
-            loss_sum += loss * len(idx)
+            loss_sum += loss * len(y[batch])
         history.train_loss.append(loss_sum / n)
 
-        val_loss = _dataset_loss(params, val_set, tcfg.loss)
+        y_hat_val, t_pred_val, _, _ = _forward_batch(params, val_set.features)
+        val_loss, _ = _batch_loss(
+            y_hat_val, t_pred_val, val_set.t_d, val_set.p, val_set.y, tcfg.loss
+        )
         history.val_loss.append(val_loss)
-        y_hat_val, _, _, _ = _forward_batch(params, val_set.features)
         try:
             auc, _ = roc_auc(y_hat_val, val_set.y)
         except ValueError:  # single-class validation split
@@ -385,6 +433,11 @@ def train(
             best_params = {k: v.copy() for k, v in params.items()}
             best_epoch = epoch
 
+    if best_epoch == 0:
+        raise ValueError(
+            f"no epoch of {tcfg.max_epochs} gave a finite validation loss "
+            f"(last: {history.val_loss[-1]!r}); nothing to select"
+        )
     history.selected_epoch = best_epoch
     return best_params, history
 
@@ -474,17 +527,12 @@ def run_crossval(
         train_ds = dataset.subset_patients(fa.train)
         val_ds = dataset.subset_patients(fa.val)
         test_ds = dataset.subset_patients(fa.test)
-        fold_mcfg = ModelConfig(
-            mcfg.input_dim, mcfg.hidden_dims, mcfg.activation,
-            seed=fold_seed(mcfg.seed, fa.fold),
-        )
-        fold_tcfg = TrainConfig(
-            tcfg.max_epochs, tcfg.lr0, tcfg.lr_decay_factor, tcfg.lr_decay_epochs,
-            tcfg.weight_decay, tcfg.batch_size, tcfg.loss,
-            seed=fold_seed(tcfg.seed, fa.fold),
-            init_reg_bias_to_mean=tcfg.init_reg_bias_to_mean,
-        )
-        params, history = train(train_ds, val_ds, fold_mcfg, fold_tcfg)
+        fold_mcfg = replace(mcfg, seed=fold_seed(mcfg.seed, fa.fold))
+        fold_tcfg = replace(tcfg, seed=fold_seed(tcfg.seed, fa.fold))
+        try:
+            params, history = train(train_ds, val_ds, fold_mcfg, fold_tcfg)
+        except ValueError as exc:
+            raise ValueError(f"fold {fa.fold}: {exc}") from exc
         preds = predict(params, test_ds)
         predictions.extend(preds)
         prediction_folds.extend([fa.fold] * len(preds))

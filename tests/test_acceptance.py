@@ -15,6 +15,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from cfpt.cli import (
     build_experiment_config,
@@ -310,6 +311,7 @@ def test_7_region_thresholds(capsys):
 # 8. directional multi-task comparison on the frozen reference cohorts
 
 
+@pytest.mark.slow
 def test_8_directional_multitask(capsys):
     t0 = time.perf_counter()
     aucs = {"multi": [], "single": []}

@@ -187,6 +187,27 @@ def test_csv_schema_errors_name_rows(tmp_path):
         read_labels_csv(bad_header)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_scans_csv_rejects_non_finite_with_row_and_column(tmp_path, bad):
+    path = tmp_path / "scans.csv"
+    path.write_text(f"scan_id,f0,f1\ns0,1.0,2.0\ns1,0.5,{bad}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"scans\.csv row 3: column f1: .*{bad}"):
+        read_scans_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_labels_csv_rejects_non_finite_with_row_and_column(tmp_path, bad):
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        "scan_id,patient_id,t_d,p,y,right_censored\n"
+        "s0,pa,1.0,1,1,0\n"
+        f"s1,pa,{bad},1,1,0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match=rf"labels\.csv row 3: column t_d: .*{bad}"):
+        read_labels_csv(path)
+
+
 def test_patients_csv_contradictory_rows(tmp_path):
     path = tmp_path / "patients.csv"
     path.write_text(
@@ -376,6 +397,44 @@ def test_main_success_and_errors(tmp_path, capsys):
 
     assert main(["label", str(out / "scans.csv"), "--out", str(out / "l.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:schema:")
+
+
+def test_main_crossval_nan_input_fails_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    data = tmp_path / "data"
+    cfg_path.write_text(
+        f"cohort.n_patients = 12\nk_folds = 3\n"
+        f"paths.labels = {data / 'labels.csv'}\npaths.scans = {data / 'scans.csv'}\n",
+        encoding="utf-8",
+    )
+    assert main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert main(["label", str(data / "patients.csv"), "--out", str(data / "labels.csv")]) == 0
+    capsys.readouterr()
+    clean = {name: (data / name).read_text(encoding="utf-8") for name in ("scans.csv", "labels.csv")}
+
+    lines = clean["scans.csv"].splitlines()
+    cells = lines[3].split(",")
+    cells[2] = "nan"
+    lines[3] = ",".join(cells)
+    (data / "scans.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run = tmp_path / "run"
+    assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:schema:")
+    assert f"{data / 'scans.csv'} row 4: column f1" in err
+    assert not run.exists()
+
+    (data / "scans.csv").write_text(clean["scans.csv"], encoding="utf-8")
+    lines = clean["labels.csv"].splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "inf"
+    lines[1] = ",".join(cells)
+    (data / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:schema:")
+    assert f"{data / 'labels.csv'} row 2: column t_d" in err
+    assert not run.exists()
 
 
 def test_main_label_and_km_flow(tmp_path, capsys):

@@ -1,0 +1,164 @@
+"""The training loop's unchecked fast path against the checked definitions.
+
+Every comparison here is exact (bytes or ``==``), not a tolerance: the fast
+path performs the same floating-point operations in the same order as the
+reference it replaces, so any difference is a change of behaviour.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from cfpt.cli import build_experiment_config, cmd_crossval, cmd_label, cmd_synth
+from cfpt.losses import LossConfig, cel, crl, crl_grad, fused_joint_loss
+from cfpt.metrics import RocPoint, roc_auc
+from cfpt.model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step
+
+
+def _random_batch(rng, n):
+    t_d = rng.uniform(-3.0, 6.0, n)
+    t_d[: n // 4] = 1.0  # exactly epsilon: the clamped branch's boundary
+    return (
+        rng.uniform(0.0, 1.0, n),  # y_hat
+        rng.uniform(-4.0, 8.0, n),  # t_pred
+        t_d,
+        rng.integers(0, 2, n),  # p
+        rng.integers(0, 2, n),  # y
+    )
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.7])
+def test_fused_joint_loss_equals_checked_functions(lam):
+    rng = np.random.default_rng(51)
+    cfg = LossConfig(lam=lam, epsilon=1.0)
+    for n in (1, 7, 32, 500):
+        y_hat, t_pred, t_d, p, y = _random_batch(rng, n)
+        p[:2] = [0, 1][: min(n, 2)]  # both branches even in tiny batches
+        loss, grad = fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg)
+        ref_loss = cfg.lam * crl(t_pred, t_d, p, cfg.epsilon) + cel(y_hat, y, cfg.prob_clamp)
+        ref_grad = cfg.lam * crl_grad(t_pred, t_d, p, cfg.epsilon)
+        assert loss.tobytes() == np.asarray(ref_loss).tobytes()
+        assert grad.tobytes() == np.asarray(ref_grad).tobytes()
+
+
+def _adam_reference(params, grads_seq, lrs, weight_decay):
+    """The per-key Adam loop the flat update replaced."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(x) for k, x in params.items()}
+    for t, (grads, lr) in enumerate(zip(grads_seq, lrs), start=1):
+        for k, theta in params.items():
+            g = grads[k]
+            if weight_decay != 0.0:
+                g = g + weight_decay * theta
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[k] / (1 - ADAM_BETA1**t)
+            v_hat = v[k] / (1 - ADAM_BETA2**t)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_flat_adam_equals_per_key_loop(weight_decay):
+    rng = np.random.default_rng(52)
+    shapes = {"W0": (5, 4), "b0": (4,), "W1": (4, 3), "b1": (3,), "w_cls": (3,), "b_cls": (1,)}
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    grads_seq = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(200)]
+    lrs = [1e-2 if t < 100 else 4e-3 for t in range(200)]
+
+    expected = _adam_reference({k: v.copy() for k, v in init.items()}, grads_seq, lrs, weight_decay)
+
+    params = {k: v.copy() for k, v in init.items()}
+    state = AdamState.for_params(params)
+    for grads, lr in zip(grads_seq, lrs):
+        adam_step(state, grads, lr, weight_decay)
+    assert state.t == 200
+    for k in shapes:
+        assert params[k].shape == shapes[k]
+        assert params[k].tobytes() == expected[k].tobytes(), k
+        assert state.params[k] is params[k]
+
+
+def _roc_reference(scores, labels):
+    """The ROC-point loop the vectorised version replaced."""
+    s = np.asarray(scores, dtype=np.float64)
+    lab = np.asarray(labels)
+    n_pos = int(np.sum(lab == 1))
+    n_neg = int(np.sum(lab == 0))
+    order = np.argsort(-s, kind="stable")
+    points = [RocPoint(float("inf"), 0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and s[order[j]] == s[order[i]]:
+            if lab[order[j]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        points.append(RocPoint(float(s[order[i]]), fp / n_neg, tp / n_pos))
+        i = j
+    return points
+
+
+def test_vectorised_roc_points_equal_loop():
+    rng = np.random.default_rng(53)
+    cases = [
+        ([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]),
+        ([0.9, 0.1], [1, 0]),
+        ([0.0, -0.0, 1.0, -0.0], [1, 0, 1, 0]),  # signed zeros tie
+    ]
+    for n in (2, 3, 10, 257):
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        cases.append((rng.uniform(size=n), labels))
+        cases.append((rng.integers(0, 4, n) / 4.0, labels))  # heavy ties
+    for scores, labels in cases:
+        _, points = roc_auc(scores, labels)
+        expected = _roc_reference(scores, labels)
+        assert points == expected
+        # == on floats says 0.0 == -0.0; the thresholds must match in sign too
+        assert [np.float64(p.threshold).tobytes() for p in points] == [
+            np.float64(p.threshold).tobytes() for p in expected
+        ]
+
+
+# sha256 of a small cmd_crossval's outputs, recorded with the per-batch
+# checked losses, the per-key Adam loop and the ROC-point loop (numpy 2.4,
+# OpenBLAS, x86-64). Acceptance 9 compares two runs of the same code, so it
+# cannot see drift; this can. A BLAS that rounds matmuls differently would
+# also change these.
+GOLDEN_CROSSVAL = {
+    "folds.csv": "5888e5b29f7514209d3e6ec31d5a68cac5e04ba47eae62be23188052683a2462",
+    "history_fold0.csv": "7c9af913112df3d0b357151e1bc411675128c3ec3a7ab9f3d818a8360ffccad4",
+    "history_fold1.csv": "01bdab7f8bbfa5c279d309ac5ef645722c23c0e4f95cd9de0a7cd8b573b49c81",
+    "history_fold2.csv": "2fe174ff0255082f562414b604422cbecda798af35461ce0425a2d892980d90e",
+    "predictions.csv": "e5dce14642c45ac83a83eb5e2f1cd5c2438539b41c36dccc420dd1650bc4e02c",
+}
+
+
+def test_crossval_outputs_match_recorded_hashes(tmp_path):
+    data = tmp_path / "data"
+    cfg = build_experiment_config(
+        {
+            "k_folds": "3",
+            "paths.labels": str(data / "labels.csv"),
+            "paths.scans": str(data / "scans.csv"),
+            "cohort.n_patients": "60",
+            "cohort.feature_dim": "3",
+            "model.hidden_dims": "8, 6",
+            "train.max_epochs": "6",
+            "train.lr_decay_epochs": "4",
+            "train.batch_size": "12",  # not a power of two: 1/n rounds
+        }
+    )
+    cmd_synth(cfg, data)
+    cmd_label(data / "patients.csv", data / "labels.csv")
+    cmd_crossval(cfg, tmp_path / "run")
+    got = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted((tmp_path / "run").iterdir())
+    }
+    assert got == GOLDEN_CROSSVAL

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -459,6 +461,76 @@ def test_build_dataset_and_missing_features():
     assert np.array_equal(ds.features[1], [3.0, 4.0])
     with pytest.raises(ValueError):
         build_dataset(labels, {"s1": np.array([1.0, 2.0])})
+
+
+@pytest.mark.parametrize(
+    "column, value, match",
+    [
+        ("features", np.nan, "features of scan 's2' has non-finite values"),
+        ("features", -np.inf, "features of scan 's2' has non-finite values"),
+        ("t_d", np.inf, "t_d of scan 's2' has a non-finite value"),
+        ("p", 2, "p of scan 's2' has a value other than 0 or 1"),
+        ("y", -1, "y of scan 's2' has a value other than 0 or 1"),
+    ],
+)
+def test_build_dataset_rejects_bad_values(column, value, match):
+    labels = [ScanLabel("s1", "a", 2.0, 1, 1, False), ScanLabel("s2", "b", 1.0, 0, 0, True)]
+    feats = {"s1": np.array([1.0, 2.0]), "s2": np.array([3.0, 4.0])}
+    if column == "features":
+        feats["s2"] = np.array([3.0, value])
+    else:
+        labels[1] = replace(labels[1], **{column: value})
+    with pytest.raises(ValueError, match=match):
+        build_dataset(labels, feats)
+
+
+def test_train_validates_datasets_at_entry():
+    tr, va = _toy_split()
+    va.t_d[0] = np.nan
+    with pytest.raises(ValueError, match="validation set: t_d"):
+        train(tr, va, ModelConfig(input_dim=2, hidden_dims=(4,), seed=0), _fast_tcfg())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_raises_when_no_epoch_has_finite_val_loss():
+    # finite but astronomically large targets: every validation loss overflows
+    tr, va = _toy_split()
+    va.t_d[:] = 1e200
+    va.p[:] = 1
+    with pytest.raises(ValueError, match="no epoch of 12 gave a finite validation loss"):
+        train(tr, va, ModelConfig(input_dim=2, hidden_dims=(4,), seed=0), _fast_tcfg())
+
+
+def test_backward_fails_loudly_on_non_finite_predictions():
+    rng = np.random.default_rng(38)
+    params, X, t_d, p, y = random_network_instance(rng)
+    params["b_reg"] = np.array([np.inf])
+    with pytest.raises(ValueError, match="diverged"):
+        backward(params, X, t_d, p, y, LossConfig())
+
+
+def test_run_crossval_folds_keep_every_config_field(monkeypatch):
+    import cfpt.model
+
+    seen = []
+    real_train = cfpt.model.train
+
+    def spy(train_set, val_set, mcfg, tcfg):
+        seen.append((mcfg, tcfg))
+        return real_train(train_set, val_set, mcfg, tcfg)
+
+    monkeypatch.setattr(cfpt.model, "train", spy)
+    ds = _toy_dataset(np.random.default_rng(39), n_patients=9)
+    mcfg = ModelConfig(input_dim=2, hidden_dims=(3, 2), seed=4)
+    tcfg = _fast_tcfg(
+        max_epochs=2, lr_decay_factor=0.3, weight_decay=0.02,
+        loss=LossConfig(lam=0.7, epsilon=0.5), init_reg_bias_to_mean=False,
+    )
+    run_crossval(ds, mcfg, tcfg, k=3)
+    assert [(m, t) for m, t in seen] == [
+        (replace(mcfg, seed=fold_seed(4, f)), replace(tcfg, seed=fold_seed(5, f)))
+        for f in range(3)
+    ]
 
 
 def test_save_load_round_trip(tmp_path):
