@@ -55,10 +55,8 @@ from .model import (
     effective_lr,
     forward,
     init_params,
-    load_params,
     predict,
     run_crossval,
-    save_params,
     train,
 )
 from .simulate import (
@@ -83,8 +81,7 @@ __all__ = [
     "AdamState", "CrossvalResult", "FoldAssignment", "ModelConfig",
     "ScanDataset", "TrainConfig", "TrainHistory", "adam_step", "backward",
     "build_dataset", "crossval_split", "effective_lr", "forward",
-    "init_params", "load_params", "predict", "run_crossval", "save_params",
-    "train",
+    "init_params", "predict", "run_crossval", "train",
     "CohortConfig", "CohortSummary", "calibrate_onset_scale", "cohort_summary",
     "generate_cohort", "reference_cohort_config",
 ]

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -88,14 +89,6 @@ class ExperimentConfig:
             raise ConfigError("multi_task requires loss.lambda > 0")
 
 
-def _to_int(s: str) -> int:
-    return int(s)
-
-
-def _to_float(s: str) -> float:
-    return float(s)
-
-
 def _to_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -115,42 +108,38 @@ def _to_float_tuple(s: str) -> tuple[float, ...]:
     return tuple(float(part) for part in s.split(",")) if s else ()
 
 
-def _to_str(s: str) -> str:
-    return s
-
-
 # key -> (bucket, constructor kwarg, converter)
 _CONFIG_KEYS = {
-    "mode": ("top", "mode", _to_str),
-    "k_folds": ("top", "k_folds", _to_int),
+    "mode": ("top", "mode", str),
+    "k_folds": ("top", "k_folds", int),
     "thresholds": ("top", "thresholds", _to_float_tuple),
-    "paths.labels": ("paths", "labels", _to_str),
-    "paths.scans": ("paths", "scans", _to_str),
-    "cohort.n_patients": ("cohort", "n_patients", _to_int),
-    "cohort.cancer_fraction_target": ("cohort", "cancer_fraction_target", _to_float),
-    "cohort.feature_dim": ("cohort", "feature_dim", _to_int),
-    "cohort.scan_interval": ("cohort", "scan_interval", _to_float),
-    "cohort.study_horizon": ("cohort", "study_horizon", _to_float),
-    "cohort.dropout_prob": ("cohort", "dropout_prob", _to_float),
-    "cohort.onset_scale": ("cohort", "onset_scale", _to_float),
-    "cohort.onset_shape": ("cohort", "onset_shape", _to_float),
-    "cohort.risk_coeff": ("cohort", "risk_coeff", _to_float),
-    "cohort.progression_gain": ("cohort", "progression_gain", _to_float),
-    "cohort.noise_sd": ("cohort", "noise_sd", _to_float),
-    "cohort.seed": ("cohort", "seed", _to_int),
-    "model.hidden_dims": ("model", "hidden_dims", _to_int_tuple),
-    "model.seed": ("model", "seed", _to_int),
-    "train.max_epochs": ("train", "max_epochs", _to_int),
-    "train.lr0": ("train", "lr0", _to_float),
-    "train.lr_decay_factor": ("train", "lr_decay_factor", _to_float),
+    "paths.labels": ("paths", "labels", str),
+    "paths.scans": ("paths", "scans", str),
+    "cohort.n_patients": ("cohort", "n_patients", int),
+    "cohort.cancer_fraction_target": ("cohort", "cancer_fraction_target", float),
+    "cohort.feature_dim": ("cohort", "feature_dim", int),
+    "cohort.scan_interval": ("cohort", "scan_interval", float),
+    "cohort.study_horizon": ("cohort", "study_horizon", float),
+    "cohort.dropout_prob": ("cohort", "dropout_prob", float),
+    "cohort.onset_scale": ("cohort", "onset_scale", float),
+    "cohort.onset_shape": ("cohort", "onset_shape", float),
+    "cohort.risk_coeff": ("cohort", "risk_coeff", float),
+    "cohort.progression_gain": ("cohort", "progression_gain", float),
+    "cohort.noise_sd": ("cohort", "noise_sd", float),
+    "cohort.seed": ("cohort", "seed", int),
+    "model.hidden_dims": ("top", "hidden_dims", _to_int_tuple),
+    "model.seed": ("top", "model_seed", int),
+    "train.max_epochs": ("train", "max_epochs", int),
+    "train.lr0": ("train", "lr0", float),
+    "train.lr_decay_factor": ("train", "lr_decay_factor", float),
     "train.lr_decay_epochs": ("train", "lr_decay_epochs", _to_int_tuple),
-    "train.weight_decay": ("train", "weight_decay", _to_float),
-    "train.batch_size": ("train", "batch_size", _to_int),
-    "train.seed": ("train", "seed", _to_int),
+    "train.weight_decay": ("train", "weight_decay", float),
+    "train.batch_size": ("train", "batch_size", int),
+    "train.seed": ("train", "seed", int),
     "train.init_reg_bias_to_mean": ("train", "init_reg_bias_to_mean", _to_bool),
-    "loss.lambda": ("loss", "lam", _to_float),
-    "loss.epsilon": ("loss", "epsilon", _to_float),
-    "loss.prob_clamp": ("loss", "prob_clamp", _to_float),
+    "loss.lambda": ("loss", "lam", float),
+    "loss.epsilon": ("loss", "epsilon", float),
+    "loss.prob_clamp": ("loss", "prob_clamp", float),
 }
 
 
@@ -175,7 +164,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_experiment_config(kv: dict) -> ExperimentConfig:
-    buckets = {"top": {}, "paths": {}, "cohort": {}, "model": {}, "train": {}, "loss": {}}
+    buckets = {"top": {}, "paths": {}, "cohort": {}, "train": {}, "loss": {}}
     for key, raw in kv.items():
         spec = _CONFIG_KEYS.get(key)
         if spec is None:
@@ -190,12 +179,7 @@ def build_experiment_config(kv: dict) -> ExperimentConfig:
         train = TrainConfig(loss=loss, **buckets["train"])
         cohort = CohortConfig(**buckets["cohort"])
         return ExperimentConfig(
-            cohort=cohort,
-            train=train,
-            hidden_dims=buckets["model"].get("hidden_dims", (64, 64)),
-            model_seed=buckets["model"].get("seed", 0),
-            paths=buckets["paths"],
-            **buckets["top"],
+            cohort=cohort, train=train, paths=buckets["paths"], **buckets["top"]
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -222,291 +206,248 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# CSV files
+#
+# Each file is its header and a kind per column:
+#   str     any text
+#   key     text that appears once in the file
+#   float   a finite number, written with repr so it round-trips exactly
+#   float?  empty (None) or a finite number
+#   bit     0 or 1
+#   int     an integer
 
 
-def _fmt(x) -> str:
-    """Lossless float-to-text: repr round-trips doubles exactly."""
-    return repr(float(x))
+def _unique(cells):
+    if len(set(cells)) != len(cells):
+        raise ValueError
+    return cells
 
 
-def _fmt_bool(b) -> str:
-    return "1" if b else "0"
+def _floats(cells):
+    out = list(map(float, cells))
+    if not all(map(math.isfinite, out)):
+        raise ValueError
+    return out
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _optional_floats(cells):
+    out = [None if c == "" else float(c) for c in cells]
+    # filter(None, ...) skips the Nones, and the 0.0s, which are finite
+    if not all(map(math.isfinite, filter(None, out))):
+        raise ValueError
+    return out
 
 
-class _Reader:
-    """CSV reader that reports the file line number on every complaint."""
+# kind -> (parse a column of cells or raise ValueError, complaint about a bad cell)
+_PARSE = {
+    "str": (lambda cells: cells, None),
+    "key": (_unique, "duplicate {!r}"),
+    "float": (_floats, "not a finite number: {!r}"),
+    "float?": (_optional_floats, "neither empty nor a finite number: {!r}"),
+    "bit": (lambda cells: list(map(("0", "1").index, cells)), "expected 0 or 1, got {!r}"),
+    "int": (lambda cells: list(map(int, cells)), "not an integer: {!r}"),
+}
 
-    def __init__(self, path, expected_header):
-        self.path = path
+# kind -> column of values to column of cells
+_FORMAT = {
+    "str": lambda values: values,
+    "key": lambda values: values,
+    "float": lambda values: map(repr, map(float, values)),
+    "float?": lambda values: ["" if v is None else repr(float(v)) for v in values],
+    "bit": lambda values: map(("0", "1").__getitem__, values),
+    "int": lambda values: map(str, map(int, values)),
+}
+
+_PATIENTS = {
+    "patient_id": "str", "is_cancer": "bit", "diagnosis_time": "float?",
+    "scan_id": "key", "scan_time": "float",
+}
+_LABELS = {
+    "scan_id": "key", "patient_id": "str", "t_d": "float", "p": "bit", "y": "bit",
+    "right_censored": "bit",
+}
+_PREDICTIONS = {"scan_id": "key", "y_hat": "float", "t_pred": "float", "fold": "int"}
+_TRUTH = {"patient_id": "str", "onset_time": "float"}
+_KM = {"time": "float", "survival": "float", "at_risk": "int", "events": "int"}
+_ROC = {"threshold": "float", "fpr": "float", "tpr": "float"}
+_SCATTER = {"t_pred": "float", "x_time": "float"}
+_THRESHOLDS = {"threshold": "float", "recall": "float", "noncancer_beyond": "float"}
+_HISTORY = {
+    "epoch": "int", "train_loss": "float", "val_loss": "float", "val_auc": "float",
+    "selected": "bit",
+}
+_FOLDS = {"patient_id": "str", "test_fold": "int"}
+
+
+def _parse_column(path, name, kind, cells):
+    parse, complaint = _PARSE[kind]
+    try:
+        return parse(cells)
+    except ValueError:
+        pass
+    # a column's check fails on a prefix of it exactly when the prefix holds
+    # a bad cell, so the shortest failing prefix ends at the first one
+    good, bad = 0, len(cells)
+    while bad - good > 1:
+        mid = (good + bad) // 2
         try:
-            fh = open(path, encoding="utf-8", newline="")
-        except FileNotFoundError as exc:
-            raise SchemaError(f"{path}: {exc.strerror}") from exc
-        with fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise SchemaError(f"{path} row 1: missing header")
-        if rows[0] != expected_header:
-            raise SchemaError(
-                f"{path} row 1: expected header {','.join(expected_header)}, "
-                f"got {','.join(rows[0])}"
-            )
-        self.header = rows[0]
-        self.rows = rows[1:]
-
-    def cells(self):
-        for i, row in enumerate(self.rows, start=2):
-            if len(row) != len(self.header):
-                raise SchemaError(
-                    f"{self.path} row {i}: expected {len(self.header)} fields, got {len(row)}"
-                )
-            yield i, row
-
-    def floatc(self, i, value, col):
-        try:
-            x = float(value)
-        except ValueError as exc:
-            raise SchemaError(f"{self.path} row {i}: column {col}: not a number: {value!r}") from exc
-        if not math.isfinite(x):
-            raise SchemaError(f"{self.path} row {i}: column {col}: not a finite number: {value!r}")
-        return x
-
-    def bitc(self, i, value, col):
-        if value not in ("0", "1"):
-            raise SchemaError(f"{self.path} row {i}: column {col}: expected 0 or 1, got {value!r}")
-        return int(value)
-
-    def intc(self, i, value, col):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise SchemaError(f"{self.path} row {i}: column {col}: not an integer: {value!r}") from exc
+            parse(cells[:mid])
+            good = mid
+        except ValueError:
+            bad = mid
+    raise SchemaError(f"{path} row {bad + 1}: column {name}: " + complaint.format(cells[bad - 1]))
 
 
-PATIENTS_HEADER = ["patient_id", "is_cancer", "diagnosis_time", "scan_id", "scan_time"]
-LABELS_HEADER = ["scan_id", "patient_id", "t_d", "p", "y", "right_censored"]
-PREDICTIONS_HEADER = ["scan_id", "y_hat", "t_pred", "fold"]
-TRUTH_HEADER = ["patient_id", "onset_time"]
-KM_HEADER = ["time", "survival", "at_risk", "events"]
-ROC_HEADER = ["threshold", "fpr", "tpr"]
+def _read_csv(path, schema) -> list:
+    """The columns of a CSV file whose header is ``schema``'s names, each
+    parsed by its kind; a bad row or cell fails naming its row and column."""
+    header = list(schema)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        rows = list(reader)
+    if got is None:
+        raise SchemaError(f"{path} row 1: missing header")
+    if got != header:
+        raise SchemaError(f"{path} row 1: expected header {','.join(header)}, got {','.join(got)}")
+    if set(map(len, rows)) - {len(header)}:
+        i, row = next((i, r) for i, r in enumerate(rows, 2) if len(r) != len(header))
+        raise SchemaError(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
+    return [
+        _parse_column(path, name, kind, list(map(itemgetter(j), rows)))
+        for j, (name, kind) in enumerate(schema.items())
+    ]
+
+
+def _write_csv(path, schema, columns) -> None:
+    """Write ``columns`` of values, one per column of ``schema``, under its header."""
+    cells = (_FORMAT[kind](values) for kind, values in zip(schema.values(), columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(schema)
+        w.writerows(zip(*cells))
+
+
+def _fields(items, names) -> list:
+    """One column per attribute name: the named attribute of each item."""
+    items = list(items)
+    return [map(attrgetter(name), items) for name in names]
 
 
 def write_patients_csv(path, records) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PATIENTS_HEADER)
-        for rec in records:
-            diag = "" if rec.diagnosis_time is None else _fmt(rec.diagnosis_time)
-            for sid, t in zip(effective_scan_ids(rec), rec.scan_times):
-                w.writerow([rec.patient_id, _fmt_bool(rec.is_cancer), diag, sid, _fmt(t)])
+    rows = [
+        (rec.patient_id, rec.is_cancer, rec.diagnosis_time, sid, t)
+        for rec in records
+        for sid, t in zip(effective_scan_ids(rec), rec.scan_times)
+    ]
+    _write_csv(path, _PATIENTS, [map(itemgetter(j), rows) for j in range(len(_PATIENTS))])
 
 
 def read_patients_csv(path) -> list:
     """One row per scan, patient fields repeated; rows of one patient must
     agree on is_cancer/diagnosis_time but may appear in any order."""
-    r = _Reader(path, PATIENTS_HEADER)
+    columns = _read_csv(path, _PATIENTS)
+    if "" in columns[0]:
+        raise SchemaError(f"{path} row {columns[0].index('') + 2}: empty patient_id")
     per_patient = {}
-    for i, (pid, cancer, diag, sid, t) in r.cells():
-        if not pid:
-            raise SchemaError(f"{path} row {i}: empty patient_id")
-        entry = per_patient.setdefault(pid, {"is_cancer": None, "diag": None, "scans": [], "row": i})
-        is_cancer = bool(r.bitc(i, cancer, "is_cancer"))
-        diagnosis = None if diag == "" else r.floatc(i, diag, "diagnosis_time")
-        if entry["scans"] and (entry["is_cancer"] != is_cancer or entry["diag"] != diagnosis):
-            raise SchemaError(
-                f"{path} row {i}: patient {pid!r} contradicts its earlier rows"
-            )
-        entry["is_cancer"] = is_cancer
-        entry["diag"] = diagnosis
-        entry["scans"].append((r.floatc(i, t, "scan_time"), sid, i))
+    for i, (pid, cancer, diag, sid, t) in enumerate(zip(*columns), start=2):
+        entry = per_patient.get(pid)
+        if entry is None:
+            entry = per_patient[pid] = (cancer, diag, [])
+        elif entry[0] != cancer or entry[1] != diag:
+            raise SchemaError(f"{path} row {i}: patient {pid!r} contradicts its earlier rows")
+        entry[2].append((t, sid))
     records = []
-    for pid, entry in per_patient.items():
-        scans = sorted(entry["scans"])
-        ids = [sid for _, sid, _ in scans]
-        if len(set(ids)) != len(ids):
-            raise SchemaError(f"{path}: duplicate scan_id for patient {pid!r}")
-        try:
-            records.append(
-                PatientRecord(
-                    patient_id=pid,
-                    scan_times=tuple(t for t, _, _ in scans),
-                    is_cancer=entry["is_cancer"],
-                    diagnosis_time=entry["diag"],
-                    scan_ids=tuple(ids),
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{path} row {entry['row']}: patient {pid!r}: {exc}") from exc
+    for pid, (cancer, diag, scans) in per_patient.items():
+        scans.sort()
+        records.append(PatientRecord(
+            patient_id=pid,
+            scan_times=tuple(t for t, _ in scans),
+            is_cancer=bool(cancer),
+            diagnosis_time=diag,
+            scan_ids=tuple(sid for _, sid in scans),
+        ))
     return records
 
 
 def write_scans_csv(path, features: dict, order) -> None:
     """Feature table in the given scan order; column count from the data."""
-    dims = {len(features[sid]) for sid in order}
+    vectors = [features[sid] for sid in order]
+    dims = set(map(len, vectors))
     if len(dims) > 1:
         raise ValueError(f"inconsistent feature lengths: {sorted(dims)}")
     d = dims.pop() if dims else 0
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scan_id"] + [f"f{j}" for j in range(d)])
-        for sid in order:
-            w.writerow([sid] + [_fmt(v) for v in features[sid]])
+    schema = {"scan_id": "key", **{f"f{j}": "float" for j in range(d)}}
+    _write_csv(path, schema, [order, *(map(itemgetter(j), vectors) for j in range(d))])
 
 
 def read_scans_csv(path) -> dict:
     """scan_id -> feature vector; each vector is a row view of one matrix,
     and a NaN or inf anywhere fails with its row and column."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except FileNotFoundError as exc:
-        raise SchemaError(f"{path}: {exc.strerror}") from exc
-    with fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise SchemaError(f"{path} row 1: missing header")
-    header = rows[0]
-    if len(header) < 2 or header[0] != "scan_id" or header[1:] != [f"f{j}" for j in range(len(header) - 1)]:
-        raise SchemaError(f"{path} row 1: expected header scan_id,f0,...,f{{d-1}}")
-    ids, seen = [], set()
-    mat = np.empty((len(rows) - 1, len(header) - 1))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise SchemaError(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
-        sid = row[0]
-        if sid in seen:
-            raise SchemaError(f"{path} row {i}: duplicate scan_id {sid!r}")
-        seen.add(sid)
-        ids.append(sid)
-        try:
-            mat[i - 2] = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise SchemaError(f"{path} row {i}: not a number in feature columns") from exc
-    finite = np.isfinite(mat)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise SchemaError(
-            f"{path} row {r + 2}: column {header[c + 1]}: "
-            f"not a finite number: {rows[r + 1][c + 1]!r}"
-        )
+    with open(path, encoding="utf-8", newline="") as fh:
+        width = len(next(csv.reader(fh), ()))
+    names = [f"f{j}" for j in range(max(width - 1, 1))]
+    ids, *columns = _read_csv(path, {"scan_id": "key", **dict.fromkeys(names, "str")})
+    # parsed a column at a time, so one column of Python floats is alive at once
+    mat = np.empty((len(ids), len(names)))
+    for j, (name, cells) in enumerate(zip(names, columns)):
+        mat[:, j] = _parse_column(path, name, "float", cells)
     return dict(zip(ids, mat))
 
 
 def write_truth_csv(path, onsets: dict, order) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRUTH_HEADER)
-        for pid in order:
-            w.writerow([pid, _fmt(onsets[pid])])
+    order = list(order)
+    _write_csv(path, _TRUTH, [order, [onsets[pid] for pid in order]])
 
 
 def write_labels_csv(path, labels) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(LABELS_HEADER)
-        for lb in labels:
-            w.writerow(
-                [lb.scan_id, lb.patient_id, _fmt(lb.t_d), lb.p, lb.y, _fmt_bool(lb.right_censored)]
-            )
+    _write_csv(path, _LABELS, _fields(labels, _LABELS))
 
 
 def read_labels_csv(path) -> list:
-    r = _Reader(path, LABELS_HEADER)
-    labels = []
-    seen = set()
-    for i, (sid, pid, t_d, p, y, rc) in r.cells():
-        if sid in seen:
-            raise SchemaError(f"{path} row {i}: duplicate scan_id {sid!r}")
-        seen.add(sid)
-        labels.append(
-            ScanLabel(
-                scan_id=sid,
-                patient_id=pid,
-                t_d=r.floatc(i, t_d, "t_d"),
-                p=r.bitc(i, p, "p"),
-                y=r.bitc(i, y, "y"),
-                right_censored=bool(r.bitc(i, rc, "right_censored")),
-            )
-        )
-    return labels
+    sid, pid, t_d, p, y, rc = _read_csv(path, _LABELS)
+    return list(map(ScanLabel, sid, pid, t_d, p, y, map(bool, rc)))
 
 
 def write_predictions_csv(path, predictions, folds) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PREDICTIONS_HEADER)
-        for pr, f in zip(predictions, folds):
-            w.writerow([pr.scan_id, _fmt(pr.y_hat), _fmt(pr.t_pred), f])
+    _write_csv(path, _PREDICTIONS, [*_fields(predictions, ("scan_id", "y_hat", "t_pred")), folds])
 
 
 def read_predictions_csv(path):
-    r = _Reader(path, PREDICTIONS_HEADER)
-    preds, folds = [], []
-    seen = set()
-    for i, (sid, y_hat, t_pred, fold) in r.cells():
-        if sid in seen:
-            raise SchemaError(f"{path} row {i}: duplicate scan_id {sid!r}")
-        seen.add(sid)
-        preds.append(
-            Prediction(sid, r.floatc(i, y_hat, "y_hat"), r.floatc(i, t_pred, "t_pred"))
-        )
-        folds.append(r.intc(i, fold, "fold"))
-    return preds, folds
+    sid, y_hat, t_pred, folds = _read_csv(path, _PREDICTIONS)
+    return list(map(Prediction, sid, y_hat, t_pred)), folds
 
 
 def write_km_csv(path, km: KMCurve) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(KM_HEADER)
-        for t, s, n, d in zip(km.times, km.survival, km.n_at_risk, km.n_events):
-            w.writerow([_fmt(t), _fmt(s), n, d])
+    _write_csv(path, _KM, [km.times, km.survival, km.n_at_risk, km.n_events])
 
 
 def write_roc_csv(path, points) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(ROC_HEADER)
-        for pt in points:
-            w.writerow([_fmt(pt.threshold), _fmt(pt.fpr), _fmt(pt.tpr)])
+    _write_csv(path, _ROC, _fields(points, _ROC))
 
 
 def write_scatter_csv(path, points) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t_pred", "x_time"])
-        for t_pred, x in np.asarray(points).reshape(-1, 2):
-            w.writerow([_fmt(t_pred), _fmt(x)])
+    _write_csv(path, _SCATTER, np.asarray(points).reshape(-1, 2).T.tolist())
 
 
 def write_threshold_csv(path, rows) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["threshold", "recall", "noncancer_beyond"])
-        for row in rows:
-            w.writerow([_fmt(row.threshold), _fmt(row.recall), _fmt(row.noncancer_beyond)])
+    _write_csv(path, _THRESHOLDS, _fields(rows, _THRESHOLDS))
 
 
 def write_history_csv(path, history) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["epoch", "train_loss", "val_loss", "val_auc", "selected"])
-        for e, (tr, vl, va) in enumerate(
-            zip(history.train_loss, history.val_loss, history.val_auc), start=1
-        ):
-            w.writerow([e, _fmt(tr), _fmt(vl), _fmt(va), _fmt_bool(e == history.selected_epoch)])
+    epochs = range(1, len(history.train_loss) + 1)
+    _write_csv(path, _HISTORY, [
+        epochs, history.train_loss, history.val_loss, history.val_auc,
+        [e == history.selected_epoch for e in epochs],
+    ])
 
 
 def write_folds_csv(path, assignments) -> None:
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["patient_id", "test_fold"])
-        for fa in assignments:
-            for pid in fa.test:
-                w.writerow([pid, fa.fold])
+    assignments = list(assignments)
+    _write_csv(path, _FOLDS, [
+        [pid for fa in assignments for pid in fa.test],
+        [fa.fold for fa in assignments for _ in fa.test],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +522,7 @@ def cmd_eval(
         preds, labels, thresholds, operating_point=operating_point, predictions_b=preds_b
     )
     os.makedirs(out_dir, exist_ok=True)
-    with _open_out(os.path.join(out_dir, "report.txt")) as fh:
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8", newline="") as fh:
         fh.write(report.to_text())
     write_roc_csv(os.path.join(out_dir, "roc.csv"), report.roc_points)
     write_km_csv(os.path.join(out_dir, "km.csv"), report.km)
@@ -828,9 +769,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error:{exc.token}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error:io: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)

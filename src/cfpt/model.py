@@ -13,8 +13,6 @@ Everything is plain float64 numpy; all randomness flows from explicit
 seeds, so a (seed, config, data) triple fully determines every output.
 """
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -36,7 +34,6 @@ ADAM_EPS = 1e-8
 class ModelConfig:
     input_dim: int
     hidden_dims: tuple[int, ...] = (64, 64)
-    activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +42,6 @@ class ModelConfig:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
-        if self.activation != "relu":
-            raise ValueError("only the rectifier activation is supported")
 
 
 @dataclass(frozen=True)
@@ -539,34 +534,3 @@ def run_crossval(
         histories.append(history)
     return CrossvalResult(predictions, prediction_folds, assignments, histories)
 
-
-# ---------------------------------------------------------------------------
-# parameter snapshots
-
-
-def config_hash(mcfg: ModelConfig) -> str:
-    blob = json.dumps(
-        {
-            "input_dim": mcfg.input_dim,
-            "hidden_dims": list(mcfg.hidden_dims),
-            "activation": mcfg.activation,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def save_params(path, params: dict, mcfg: ModelConfig, seed: int | None = None) -> None:
-    """Write a flat binary snapshot with a JSON header (config hash, seed)."""
-    header = json.dumps(
-        {"config_hash": config_hash(mcfg), "seed": mcfg.seed if seed is None else seed}
-    )
-    np.savez(path, __header__=np.array(header), **params)
-
-
-def load_params(path) -> tuple[dict, dict]:
-    """Read a snapshot back; returns (params, header metadata)."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__header__"]))
-        params = {k: data[k].copy() for k in data.files if k != "__header__"}
-    return params, meta

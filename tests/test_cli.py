@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,63 @@ def test_labels_csv_rejects_non_finite_with_row_and_column(tmp_path, bad):
         read_labels_csv(path)
 
 
+_CLEAN_CSV = {
+    "patients.csv": ["patient_id,is_cancer,diagnosis_time,scan_id,scan_time",
+                     "pa,1,2.0,s0,0.0", "pb,0,,s1,1.0"],
+    "labels.csv": ["scan_id,patient_id,t_d,p,y,right_censored",
+                   "s0,pa,1.0,1,1,0", "s1,pb,2.0,0,0,1"],
+    "predictions.csv": ["scan_id,y_hat,t_pred,fold", "s0,0.5,1.0,0", "s1,0.25,2.0,1"],
+    "scans.csv": ["scan_id,f0,f1", "s0,1.0,2.0", "s1,0.5,1.5"],
+}
+_READERS = {
+    "patients.csv": read_patients_csv,
+    "labels.csv": read_labels_csv,
+    "predictions.csv": read_predictions_csv,
+    "scans.csv": read_scans_csv,
+}
+
+
+@pytest.mark.parametrize(
+    "name, column, bad",
+    [
+        ("patients.csv", "is_cancer", "2"),
+        ("patients.csv", "is_cancer", "x"),
+        ("patients.csv", "diagnosis_time", "x"),
+        ("patients.csv", "diagnosis_time", "nan"),
+        ("patients.csv", "diagnosis_time", "inf"),
+        ("patients.csv", "scan_time", "x"),
+        ("patients.csv", "scan_time", "nan"),
+        ("patients.csv", "scan_time", "inf"),
+        ("patients.csv", "scan_time", ""),
+        ("patients.csv", "scan_id", "s0"),
+        ("labels.csv", "t_d", "x"),
+        ("labels.csv", "t_d", "nan"),
+        ("labels.csv", "t_d", "-inf"),
+        ("labels.csv", "p", "2"),
+        ("labels.csv", "y", "x"),
+        ("labels.csv", "right_censored", "2"),
+        ("labels.csv", "scan_id", "s0"),
+        ("predictions.csv", "y_hat", "x"),
+        ("predictions.csv", "y_hat", "nan"),
+        ("predictions.csv", "t_pred", "inf"),
+        ("predictions.csv", "fold", "x"),
+        ("predictions.csv", "fold", "1.5"),
+        ("predictions.csv", "scan_id", "s0"),
+        ("scans.csv", "f0", "x"),
+        ("scans.csv", "f1", "nan"),
+        ("scans.csv", "scan_id", "s0"),
+    ],
+)
+def test_readers_name_row_and_column_of_a_bad_cell(tmp_path, name, column, bad):
+    header, *rows = _CLEAN_CSV[name]
+    cells = rows[1].split(",")
+    cells[header.split(",").index(column)] = bad
+    path = tmp_path / name
+    path.write_text("\n".join([header, rows[0], ",".join(cells)]) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"{re.escape(name)} row 3: column {column}: .*'{bad}'"):
+        _READERS[name](path)
+
+
 def test_patients_csv_contradictory_rows(tmp_path):
     path = tmp_path / "patients.csv"
     path.write_text(
@@ -397,6 +456,25 @@ def test_main_success_and_errors(tmp_path, capsys):
 
     assert main(["label", str(out / "scans.csv"), "--out", str(out / "l.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:schema:")
+
+    assert main(["label", str(tmp_path / "nope.csv"), "--out", str(out / "l.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:io:")
+
+
+def test_main_label_rejects_scan_id_shared_by_two_patients(tmp_path, capsys):
+    patients = tmp_path / "patients.csv"
+    patients.write_text(
+        "patient_id,is_cancer,diagnosis_time,scan_id,scan_time\n"
+        "pa,0,,s1,0.0\n"
+        "pb,0,,s1,1.0\n",
+        encoding="utf-8",
+    )
+    labels = tmp_path / "labels.csv"
+    assert main(["label", str(patients), "--out", str(labels)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:schema:")
+    assert f"{patients} row 3: column scan_id" in err
+    assert not labels.exists()
 
 
 def test_main_crossval_nan_input_fails_before_training(tmp_path, capsys):

@@ -10,7 +10,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from cfpt.cli import build_experiment_config, cmd_crossval, cmd_label, cmd_synth
+from cfpt.cli import (
+    build_experiment_config,
+    cmd_crossval,
+    cmd_eval,
+    cmd_km,
+    cmd_label,
+    cmd_synth,
+)
 from cfpt.losses import LossConfig, cel, crl, crl_grad, fused_joint_loss
 from cfpt.metrics import RocPoint, roc_auc
 from cfpt.model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step
@@ -125,17 +132,29 @@ def test_vectorised_roc_points_equal_loop():
         ]
 
 
-# sha256 of a small cmd_crossval's outputs, recorded with the per-batch
-# checked losses, the per-key Adam loop and the ROC-point loop (numpy 2.4,
-# OpenBLAS, x86-64). Acceptance 9 compares two runs of the same code, so it
-# cannot see drift; this can. A BLAS that rounds matmuls differently would
-# also change these.
-GOLDEN_CROSSVAL = {
-    "folds.csv": "5888e5b29f7514209d3e6ec31d5a68cac5e04ba47eae62be23188052683a2462",
-    "history_fold0.csv": "7c9af913112df3d0b357151e1bc411675128c3ec3a7ab9f3d818a8360ffccad4",
-    "history_fold1.csv": "01bdab7f8bbfa5c279d309ac5ef645722c23c0e4f95cd9de0a7cd8b573b49c81",
-    "history_fold2.csv": "2fe174ff0255082f562414b604422cbecda798af35461ce0425a2d892980d90e",
-    "predictions.csv": "e5dce14642c45ac83a83eb5e2f1cd5c2438539b41c36dccc420dd1650bc4e02c",
+# sha256 of every file a small synth -> label -> crossval -> eval -> km
+# pipeline writes, recorded with the per-batch checked losses, the per-key
+# Adam loop and the ROC-point loop (numpy 2.4, OpenBLAS, x86-64), and again
+# for the synth/label/eval/km files before the CSV layer became table-driven.
+# Acceptance 9 compares two runs of the same code, so it cannot see drift;
+# this can. A BLAS that rounds matmuls differently would also change these.
+GOLDEN_PIPELINE = {
+    "data/labels.csv": "b55fbd3a05a056dbb554e4c2c3d0947ad756c103a6e81bfd1213d81794d1d7b7",
+    "data/patients.csv": "c9595a7ed326e9c3529bfbdea7f7172b9a7969f7ed717fa37a9c6d704f172a06",
+    "data/scans.csv": "2451bec09eaec08d2299eff6117eda949960359225f6728bfaeef74dbd2a4b94",
+    "data/truth.csv": "4452525f52d7c4ef3b0af40f0ab3d80abb71fa5631458a19e9a08d3e3df83023",
+    "eval/km.csv": "58bcd61ff00027b21f4c6bb1865cb5e4475063560fe8f2007a5ac6d6a7404f7f",
+    "eval/report.txt": "a3b5623ebc3250d9ab7156519967e2dda89be80730010d10503cec1fb795eb4e",
+    "eval/roc.csv": "a4bf3e2a8c4a252c4416fe7e05295c53f44bf4d440d76dcf7b535da9425259bc",
+    "eval/scatter_cancer.csv": "d8f54cb02adf25c2e4748555b98fef6ebe0e9108f6cf0c6ae169e4119c28846f",
+    "eval/scatter_noncancer.csv": "e9f77c0aee993e1183a2c2ca70ba787e3b41e50c57ac5c6b0e421fd3387f3fb7",
+    "eval/threshold_table.csv": "e9a7760ed109ccce1ad743dce52abee20ab303b8088fc362fa7ef5c746189c81",
+    "km.csv": "58bcd61ff00027b21f4c6bb1865cb5e4475063560fe8f2007a5ac6d6a7404f7f",
+    "run/folds.csv": "5888e5b29f7514209d3e6ec31d5a68cac5e04ba47eae62be23188052683a2462",
+    "run/history_fold0.csv": "7c9af913112df3d0b357151e1bc411675128c3ec3a7ab9f3d818a8360ffccad4",
+    "run/history_fold1.csv": "01bdab7f8bbfa5c279d309ac5ef645722c23c0e4f95cd9de0a7cd8b573b49c81",
+    "run/history_fold2.csv": "2fe174ff0255082f562414b604422cbecda798af35461ce0425a2d892980d90e",
+    "run/predictions.csv": "e5dce14642c45ac83a83eb5e2f1cd5c2438539b41c36dccc420dd1650bc4e02c",
 }
 
 
@@ -157,8 +176,11 @@ def test_crossval_outputs_match_recorded_hashes(tmp_path):
     cmd_synth(cfg, data)
     cmd_label(data / "patients.csv", data / "labels.csv")
     cmd_crossval(cfg, tmp_path / "run")
+    predictions = tmp_path / "run" / "predictions.csv"
+    cmd_eval(predictions, data / "labels.csv", tmp_path / "eval", predictions_b_csv=predictions)
+    cmd_km(data / "labels.csv", tmp_path / "km.csv")
     got = {
-        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in sorted((tmp_path / "run").iterdir())
+        f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(tmp_path.rglob("*")) if f.is_file()
     }
-    assert got == GOLDEN_CROSSVAL
+    assert got == GOLDEN_PIPELINE

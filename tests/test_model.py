@@ -19,10 +19,8 @@ from cfpt.model import (
     fold_seed,
     forward,
     init_params,
-    load_params,
     predict,
     run_crossval,
-    save_params,
     train,
 )
 from helpers import random_network_instance
@@ -75,8 +73,6 @@ def test_model_config_validation():
         ModelConfig(input_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(input_dim=2, hidden_dims=(0,))
-    with pytest.raises(ValueError):
-        ModelConfig(input_dim=2, activation="tanh")
 
 
 def _zero_params(input_dim, hidden):
@@ -445,7 +441,7 @@ def test_run_crossval_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# dataset assembly and snapshots
+# dataset assembly
 
 
 def test_build_dataset_and_missing_features():
@@ -532,15 +528,3 @@ def test_run_crossval_folds_keep_every_config_field(monkeypatch):
         for f in range(3)
     ]
 
-
-def test_save_load_round_trip(tmp_path):
-    mcfg = ModelConfig(input_dim=3, hidden_dims=(5,), seed=11)
-    params = init_params(mcfg, t_d_mean=1.25)
-    path = tmp_path / "snapshot.npz"
-    save_params(path, params, mcfg)
-    loaded, meta = load_params(path)
-    assert set(loaded) == set(params)
-    for k in params:
-        assert np.array_equal(loaded[k], params[k])
-    assert meta["seed"] == 11
-    assert isinstance(meta["config_hash"], str) and len(meta["config_hash"]) == 16
