@@ -32,15 +32,16 @@ for row in zip(km.times, km.survival, km.n_at_risk, km.n_events):
 print(f"S(2.0) = {km.survival_at(2.0):.3f}   S(0.0) = {km.survival_at(0.0):.3f}")
 
 # --- rank AUC and the ROC sweep ----------------------------------------------
-# Ties in the scores are handled by midranks; the ROC threshold sweep visits
-# each distinct score once, plus the (inf, 0, 0) anchor.
+# Ties in the scores are handled by midranks. The ROC curve is one array of
+# (threshold, fpr, tpr) rows: the (inf, 0, 0) anchor, then one row per
+# distinct score.
 
 scores = np.array([0.9, 0.8, 0.8, 0.4, 0.35, 0.1])
 truth = np.array([1, 1, 0, 1, 0, 0])
 auc, points = roc_auc(scores, truth)
 print(f"\nAUC {auc:.4f}; ROC points:")
-for pt in points:
-    print(f"  thr {pt.threshold:5.2f}  fpr {pt.fpr:.2f}  tpr {pt.tpr:.2f}")
+for threshold, fpr, tpr in points:
+    print(f"  thr {threshold:5.2f}  fpr {fpr:.2f}  tpr {tpr:.2f}")
 
 # --- McNemar: are two classifiers distinguishable? ----------------------------
 # Only the discordant pairs matter: b scans where A alone is right, c where

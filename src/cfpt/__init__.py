@@ -31,7 +31,6 @@ from .metrics import (
     KMCurve,
     McNemarResult,
     RegionRatios,
-    RocPoint,
     ThresholdRow,
     evaluate,
     km_estimate,
@@ -75,9 +74,9 @@ __all__ = [
     "effective_scan_ids", "validate_record",
     "LossConfig", "Prediction", "crl", "crl_grad", "cel", "cel_grad_logit",
     "joint_loss", "batch_loss",
-    "EvalReport", "KMCurve", "McNemarResult", "RegionRatios", "RocPoint",
-    "ThresholdRow", "evaluate", "km_estimate", "mcnemar", "region_ratios",
-    "roc_auc", "threshold_table",
+    "EvalReport", "KMCurve", "McNemarResult", "RegionRatios", "ThresholdRow",
+    "evaluate", "km_estimate", "mcnemar", "region_ratios", "roc_auc",
+    "threshold_table",
     "AdamState", "CrossvalResult", "FoldAssignment", "ModelConfig",
     "ScanDataset", "TrainConfig", "TrainHistory", "adam_step", "backward",
     "build_dataset", "crossval_split", "effective_lr", "forward",

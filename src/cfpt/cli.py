@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be single_task or multi_task, got {self.mode!r}")
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
-        if any(t <= 0 for t in self.thresholds):
+        if not all(t > 0 for t in self.thresholds):
             raise ConfigError(f"thresholds must be positive, got {self.thresholds}")
         if self.mode == "single_task":
             if self.train.loss.lam != 0.0:
@@ -87,15 +87,6 @@ class ExperimentConfig:
                 )
         elif not self.train.loss.lam > 0:
             raise ConfigError("multi_task requires loss.lambda > 0")
-
-
-def _to_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _to_int_tuple(s: str) -> tuple[int, ...]:
@@ -136,10 +127,8 @@ _CONFIG_KEYS = {
     "train.weight_decay": ("train", "weight_decay", float),
     "train.batch_size": ("train", "batch_size", int),
     "train.seed": ("train", "seed", int),
-    "train.init_reg_bias_to_mean": ("train", "init_reg_bias_to_mean", _to_bool),
     "loss.lambda": ("loss", "lam", float),
     "loss.epsilon": ("loss", "epsilon", float),
-    "loss.prob_clamp": ("loss", "prob_clamp", float),
 }
 
 
@@ -423,7 +412,7 @@ def write_km_csv(path, km: KMCurve) -> None:
 
 
 def write_roc_csv(path, points) -> None:
-    _write_csv(path, _ROC, _fields(points, _ROC))
+    _write_csv(path, _ROC, points.T.tolist())
 
 
 def write_scatter_csv(path, points) -> None:
@@ -623,9 +612,8 @@ def cmd_losscheck(seed: int = 0, n: int = 500):
             f"s{i}", "p", float(rng.uniform(-5, 10)), int(rng.integers(0, 2)),
             int(rng.integers(0, 2)), False,
         )
-        direct = cfg.lam * crl(pred.t_pred, label.t_d, label.p, cfg.epsilon) + cel(
-            pred.y_hat, label.y, cfg.prob_clamp
-        )
+        direct = cfg.lam * crl(pred.t_pred, label.t_d, label.p, cfg.epsilon)
+        direct += cel(pred.y_hat, label.y)
         worst = max(worst, abs(joint_loss(pred, label, cfg) - direct))
     joint_ok = worst <= 1e-12
     ok &= joint_ok

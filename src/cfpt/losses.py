@@ -29,30 +29,27 @@ from scipy.special import expit
 
 from .labels import ScanLabel
 
+# cross entropy clamps predicted probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
+# so its log terms stay finite
+PROB_CLAMP = 1e-7
+
 
 @dataclass(frozen=True)
 class LossConfig:
     """Hyperparameters of the joint objective.
 
-    ``lam`` weights the regression term against cross entropy, ``epsilon``
-    is the margin of the censored regression loss, and ``prob_clamp``
-    bounds predicted probabilities away from {0, 1} so the log terms stay
-    finite.
+    ``lam`` weights the regression term against cross entropy and
+    ``epsilon`` is the margin of the censored regression loss.
     """
 
     lam: float = 0.5
     epsilon: float = 1.0
-    prob_clamp: float = 1e-7
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.lam < 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
-        if not 0 < self.prob_clamp < 0.5:
-            raise ValueError(
-                f"prob_clamp must lie in (0, 0.5), got {self.prob_clamp}"
-            )
 
 
 @dataclass(frozen=True)
@@ -64,16 +61,20 @@ class Prediction:
     t_pred: float
 
 
+# checks call array methods (a.all(), not np.all(a)), which cost less per
+# call: the public functions are often called on scalars
+
+
 def _as_float_array(x, name):
     a = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     return a
 
 
 def _check_binary(x, name):
     a = np.asarray(x)
-    if not np.all((a == 0) | (a == 1)):
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError(f"{name} must be 0 or 1")
     return a
 
@@ -83,7 +84,7 @@ def _scalar_or_array(value):
 
 
 def _check_crl_inputs(t_pred, t_d, p, epsilon):
-    if not np.all(np.asarray(epsilon) > 0):
+    if not (np.asarray(epsilon) > 0).all():
         raise ValueError("epsilon must be positive")
     return (
         _as_float_array(t_pred, "t_pred"),
@@ -133,23 +134,21 @@ def crl_grad(t_pred, t_d, p, epsilon):
     return _scalar_or_array(2.0 * r)
 
 
-def cel_kernel(y_hat, y, prob_clamp):
-    """Unchecked cross entropy behind :func:`cel`: ``y_hat`` in [0, 1],
-    binary ``y`` and ``prob_clamp`` in (0, 0.5) are the caller's job."""
-    q = np.minimum(np.maximum(y_hat, prob_clamp), 1.0 - prob_clamp)  # np.clip, less overhead
+def cel_kernel(y_hat, y):
+    """Unchecked cross entropy behind :func:`cel`: ``y_hat`` in [0, 1] and
+    binary ``y`` are the caller's job."""
+    q = np.minimum(np.maximum(y_hat, PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip, less overhead
     return -(y * np.log(q) + (1 - y) * np.log1p(-q))
 
 
-def cel(y_hat, y, prob_clamp=1e-7):
+def cel(y_hat, y):
     """Two-class cross entropy with the probability clamped into
-    ``[prob_clamp, 1 - prob_clamp]`` before the logs."""
+    ``[PROB_CLAMP, 1 - PROB_CLAMP]`` before the logs."""
     yh = _as_float_array(y_hat, "y_hat")
-    if np.any(yh < 0) or np.any(yh > 1):
+    if (yh < 0).any() or (yh > 1).any():
         raise ValueError("y_hat must lie in [0, 1]")
     yy = _check_binary(y, "y")
-    if not 0 < prob_clamp < 0.5:
-        raise ValueError(f"prob_clamp must lie in (0, 0.5), got {prob_clamp}")
-    return _scalar_or_array(cel_kernel(yh, yy, prob_clamp))
+    return _scalar_or_array(cel_kernel(yh, yy))
 
 
 def fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
@@ -160,7 +159,7 @@ def fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
     functions on valid input.
     """
     r = crl_residual(t_pred, t_d, p, cfg.epsilon)
-    loss = cfg.lam * np.square(r) + cel_kernel(y_hat, y, cfg.prob_clamp)
+    loss = cfg.lam * np.square(r) + cel_kernel(y_hat, y)
     return loss, cfg.lam * (2.0 * r)
 
 
@@ -180,7 +179,7 @@ def cel_grad_logit(logit, y):
 def joint_loss(pred: Prediction, label: ScanLabel, cfg: LossConfig) -> float:
     """Weighted sum ``lam * crl + cel`` for a single scan."""
     reg = crl(pred.t_pred, label.t_d, label.p, cfg.epsilon)
-    cls = cel(pred.y_hat, label.y, cfg.prob_clamp)
+    cls = cel(pred.y_hat, label.y)
     return cfg.lam * reg + cls
 
 
@@ -207,5 +206,5 @@ def batch_loss(preds, labels, cfg: LossConfig) -> float:
     t_d = np.array([lb.t_d for lb in labels])
     p = np.array([lb.p for lb in labels])
     y = np.array([lb.y for lb in labels])
-    total = cfg.lam * crl(t_pred, t_d, p, cfg.epsilon) + cel(y_hat, y, cfg.prob_clamp)
+    total = cfg.lam * crl(t_pred, t_d, p, cfg.epsilon) + cel(y_hat, y)
     return float(np.mean(total))

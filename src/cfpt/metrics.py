@@ -27,13 +27,6 @@ from .losses import Prediction
 
 
 @dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    fpr: float
-    tpr: float
-
-
-@dataclass(frozen=True)
 class RegionRatios:
     """Fractions of plotted scans in each quadrant at one threshold."""
 
@@ -91,11 +84,12 @@ class McNemarResult:
 
 
 def roc_auc(scores, labels):
-    """AUC by the rank (Mann-Whitney) method plus the ROC point list.
+    """AUC by the rank (Mann-Whitney) method plus the ROC curve.
 
-    Tied scores contribute 1/2 per positive-negative pair. One ROC point
-    is emitted per distinct score, preceded by the (0, 0) anchor. Raises
-    on single-class input, where the AUC is undefined.
+    Tied scores contribute 1/2 per positive-negative pair. The curve is an
+    ``(m, 3)`` float64 array of ``threshold, fpr, tpr`` rows: row 0 is the
+    ``(inf, 0, 0)`` anchor, then one row per distinct score, highest first.
+    Raises on single-class input, where the AUC is undefined.
     """
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(labels)
@@ -113,15 +107,16 @@ def roc_auc(scores, labels):
 
     order = np.argsort(-s, kind="stable")
     s_desc = s[order]
-    # one ROC point per run of equal scores, taken at the run's last index
+    # one row per run of equal scores: counts at the run's last index, the
+    # threshold (and so the sign of a 0.0/-0.0 tie) from its first
     last = np.flatnonzero(np.append(s_desc[1:] != s_desc[:-1], True))
     first = np.append(0, last[:-1] + 1)
     tp = np.cumsum(lab[order] == 1)[last]
-    fp = last + 1 - tp
-    points = [RocPoint(float("inf"), 0.0, 0.0)] + [
-        RocPoint(threshold, f / n_neg, t / n_pos)
-        for threshold, f, t in zip(s_desc[first].tolist(), fp.tolist(), tp.tolist())
-    ]
+    points = np.empty((len(last) + 1, 3))
+    points[0] = (np.inf, 0.0, 0.0)
+    points[1:, 0] = s_desc[first]
+    points[1:, 1] = (last + 1 - tp) / n_neg
+    points[1:, 2] = tp / n_pos
     return float(auc), points
 
 
@@ -253,7 +248,7 @@ class EvalReport:
     n_cancer_patients: int
     n_malignant_scans: int
     auc: float
-    roc_points: list[RocPoint]
+    roc_points: np.ndarray  # (m, 3) rows of threshold, fpr, tpr; see roc_auc
     cancer_points: np.ndarray  # (t_pred, defined CFPT) per cancer-patient scan
     noncancer_points: np.ndarray  # (t_pred, time to last scan) per non-cancer scan
     regions_cancer: list[RegionRatios]

@@ -54,7 +54,6 @@ class TrainConfig:
     batch_size: int = 32
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
-    init_reg_bias_to_mean: bool = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -62,11 +61,13 @@ class TrainConfig:
         )
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0 < self.lr_decay_factor < 1:
             raise ValueError(
                 f"lr_decay_factor must lie in (0, 1), got {self.lr_decay_factor}"
             )
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -148,14 +149,6 @@ class ScanDataset:
         return self.subset(
             [i for i, pid in enumerate(self.patient_ids) if pid in keep]
         )
-
-    def labels(self) -> list[ScanLabel]:
-        return [
-            ScanLabel(s, pid, float(td), int(pp), int(yy), pp == 0)
-            for s, pid, td, pp, yy in zip(
-                self.scan_ids, self.patient_ids, self.t_d, self.p, self.y
-            )
-        ]
 
 
 def build_dataset(labels: list[ScanLabel], features: dict) -> ScanDataset:
@@ -366,7 +359,8 @@ def train(
     """Mini-batch Adam with per-epoch reshuffling and step lr decay.
 
     Returns the parameter snapshot from the epoch of minimum validation
-    loss (earliest epoch on ties) together with the full history. Both
+    loss (earliest epoch on ties) together with the full history. The
+    regression-head bias starts at the training set's mean ``t_d``. Both
     sets are validated once here; a minibatch with non-finite predictions,
     or a run in which no epoch has a finite validation loss, raises
     ValueError.
@@ -385,8 +379,7 @@ def train(
             f"dataset feature dim {train_set.input_dim} != model input_dim {mcfg.input_dim}"
         )
 
-    t_d_mean = float(np.mean(train_set.t_d)) if tcfg.init_reg_bias_to_mean else None
-    params = init_params(mcfg, t_d_mean=t_d_mean)
+    params = init_params(mcfg, t_d_mean=float(np.mean(train_set.t_d)))
     state = AdamState.for_params(params)
     rng = np.random.default_rng(tcfg.seed)
     n = len(train_set)
@@ -456,15 +449,12 @@ class FoldAssignment:
     test: tuple[str, ...]
 
 
-def crossval_split(
-    patients: list[str], k: int, seed: int, train_val_ratio: float = 3.0
-) -> list[FoldAssignment]:
+def crossval_split(patients: list[str], k: int, seed: int) -> list[FoldAssignment]:
     """Random equal partition of patients into k test folds.
 
-    Within each fold the remaining patients are split train:val at
-    ``train_val_ratio`` : 1 (3:1 by default). Every patient lands in
-    exactly one test fold; within a fold the three groups are disjoint by
-    construction.
+    Within each fold the remaining patients are split train:val at 3:1.
+    Every patient lands in exactly one test fold; within a fold the three
+    groups are disjoint by construction.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -482,7 +472,7 @@ def crossval_split(
         rest = [pid for j, f in enumerate(folds) if j != i for pid in f]
         perm = rng.permutation(len(rest))
         rest = [rest[j] for j in perm]
-        n_val = max(1, round(len(rest) / (1.0 + train_val_ratio)))
+        n_val = max(1, round(len(rest) / 4.0))
         val = rest[:n_val]
         tr = rest[n_val:]
         if not tr:

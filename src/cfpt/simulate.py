@@ -60,7 +60,7 @@ class CohortConfig:
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
         if not self.onset_scale > 0 or not self.onset_shape > 0:
             raise ValueError("Weibull onset parameters must be positive")
-        if self.noise_sd < 0:
+        if not self.noise_sd >= 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
 

@@ -1,9 +1,11 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from cfpt.cli import (
+    _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     SchemaError,
@@ -26,7 +28,9 @@ from cfpt.cli import (
     write_scans_csv,
 )
 from cfpt.labels import PatientRecord, derive_scan_labels
-from cfpt.losses import Prediction
+from cfpt.losses import LossConfig, Prediction
+from cfpt.model import TrainConfig
+from cfpt.simulate import CohortConfig
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +72,6 @@ def test_build_experiment_config_full():
             "train.max_epochs": "50",
             "train.lr0": "2e-3",
             "train.lr_decay_epochs": "10,20",
-            "train.init_reg_bias_to_mean": "false",
             "loss.lambda": "0.25",
             "loss.epsilon": "0.5",
         }
@@ -83,18 +86,41 @@ def test_build_experiment_config_full():
     assert cfg.train.max_epochs == 50
     assert cfg.train.lr0 == 2e-3
     assert cfg.train.lr_decay_epochs == (10, 20)
-    assert cfg.train.init_reg_bias_to_mean is False
     assert cfg.train.loss.lam == 0.25
     assert cfg.train.loss.epsilon == 0.5
 
 
 def test_config_unknown_key_and_bad_value():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        build_experiment_config({"train.momentum": "0.9"})
+    # the last two are settings that became constants
+    for key in ("train.momentum", "loss.prob_clamp", "train.init_reg_bias_to_mean"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_experiment_config({key: "0.9"})
     with pytest.raises(ConfigError, match="train.lr0"):
         build_experiment_config({"train.lr0": "fast"})
-    with pytest.raises(ConfigError):
-        build_experiment_config({"train.max_epochs": "0"})
+    for key, value in [
+        ("train.max_epochs", "0"),
+        ("train.lr0", "0"),
+        ("train.lr0", "-1e-3"),
+        ("train.lr0", "nan"),
+        ("train.lr0", "inf"),
+        ("train.weight_decay", "nan"),
+        ("cohort.noise_sd", "nan"),
+        ("thresholds", "1,nan"),
+    ]:
+        with pytest.raises(ConfigError):
+            build_experiment_config({key: value})
+
+
+def test_config_keys_name_fields_of_their_targets():
+    # a key left behind for a deleted field would raise TypeError, which
+    # main reports as a traceback rather than error:config:
+    targets = {
+        "top": ExperimentConfig, "cohort": CohortConfig, "train": TrainConfig,
+        "loss": LossConfig,
+    }
+    for key, (bucket, name, _) in _CONFIG_KEYS.items():
+        if bucket != "paths":
+            assert name in {f.name for f in fields(targets[bucket])}, key
 
 
 def test_config_mode_invariants():
@@ -453,6 +479,10 @@ def test_main_success_and_errors(tmp_path, capsys):
     bad.write_text("no.such.key = 1\n", encoding="utf-8")
     assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:config:")
+    for line in ("loss.prob_clamp = 1e-7\n", "train.init_reg_bias_to_mean = true\n"):
+        bad.write_text(line, encoding="utf-8")
+        assert main(["crossval", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:config: unknown config key")
 
     assert main(["label", str(out / "scans.csv"), "--out", str(out / "l.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:schema:")

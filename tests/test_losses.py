@@ -153,7 +153,7 @@ def test_crl_convex_and_nonnegative():
 
 def test_cel_known_values():
     assert cel(0.5, 1) == pytest.approx(-math.log(0.5), abs=1e-15)
-    assert cel(1.0, 1, prob_clamp=1e-7) == pytest.approx(-math.log(1 - 1e-7), abs=1e-18)
+    assert cel(1.0, 1) == pytest.approx(-math.log(1 - 1e-7), abs=1e-18)
     assert cel(1.0, 1) < 1e-6
     assert cel(0.3, 0) == pytest.approx(cel(0.7, 1), abs=1e-15)
 
@@ -198,11 +198,11 @@ def test_joint_loss_lambda_zero_reduces_to_cel():
     for _ in range(100):
         pred = Prediction("s", float(rng.uniform(0.01, 0.99)), float(rng.uniform(-5, 10)))
         label = ScanLabel("s", "p", float(rng.uniform(-5, 10)), int(rng.integers(0, 2)), 1, False)
-        assert joint_loss(pred, label, cfg) == cel(pred.y_hat, label.y, cfg.prob_clamp)
+        assert joint_loss(pred, label, cfg) == cel(pred.y_hat, label.y)
 
 
 def test_joint_loss_zero_case():
-    cfg = LossConfig(lam=0.5, epsilon=1.0, prob_clamp=1e-7)
+    cfg = LossConfig(lam=0.5, epsilon=1.0)
     pred = Prediction("s", 1.0, 5.0)
     label = ScanLabel("s", "p", 3.0, 0, 1, True)
     assert joint_loss(pred, label, cfg) == pytest.approx(0.0, abs=1e-6)
@@ -249,6 +249,4 @@ def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(lam=-0.1)
     with pytest.raises(ValueError):
-        LossConfig(prob_clamp=0.5)
-    with pytest.raises(ValueError):
-        LossConfig(prob_clamp=0.0)
+        LossConfig(epsilon=float("nan"))

@@ -35,8 +35,8 @@ def test_auc_all_ties():
     auc, points = roc_auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
     assert auc == 0.5
     # one distinct score -> anchor plus a single (1, 1) point
-    assert len(points) == 2
-    assert (points[1].fpr, points[1].tpr) == (1.0, 1.0)
+    assert points.shape == (2, 3)
+    assert points[1].tolist() == [0.5, 1.0, 1.0]
 
 
 def test_auc_matches_pairwise_oracle():
@@ -52,16 +52,14 @@ def test_roc_points_shape_and_monotonicity():
     for _ in range(50):
         scores, labels = random_scores_labels(rng, max_n=60)
         _, points = roc_auc(scores, labels)
-        assert (points[0].fpr, points[0].tpr) == (0.0, 0.0)
-        assert (points[-1].fpr, points[-1].tpr) == (1.0, 1.0)
-        assert len(points) == len(set(scores.tolist())) + 1
-        fprs = [pt.fpr for pt in points]
-        tprs = [pt.tpr for pt in points]
-        assert fprs == sorted(fprs)
-        assert tprs == sorted(tprs)
+        ths, fprs, tprs = points.T
+        assert points[0].tolist() == [np.inf, 0.0, 0.0]
+        assert (fprs[-1], tprs[-1]) == (1.0, 1.0)
+        assert points.shape == (len(set(scores.tolist())) + 1, 3)
+        assert (np.diff(fprs) >= 0).all()
+        assert (np.diff(tprs) >= 0).all()
         # thresholds strictly decreasing after the +inf anchor
-        ths = [pt.threshold for pt in points]
-        assert all(a > b for a, b in zip(ths, ths[1:]))
+        assert (np.diff(ths) < 0).all()
 
 
 def test_auc_rejects_single_class():

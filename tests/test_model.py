@@ -520,7 +520,7 @@ def test_run_crossval_folds_keep_every_config_field(monkeypatch):
     mcfg = ModelConfig(input_dim=2, hidden_dims=(3, 2), seed=4)
     tcfg = _fast_tcfg(
         max_epochs=2, lr_decay_factor=0.3, weight_decay=0.02,
-        loss=LossConfig(lam=0.7, epsilon=0.5), init_reg_bias_to_mean=False,
+        loss=LossConfig(lam=0.7, epsilon=0.5),
     )
     run_crossval(ds, mcfg, tcfg, k=3)
     assert [(m, t) for m, t in seen] == [

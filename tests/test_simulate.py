@@ -35,6 +35,8 @@ def test_config_validation():
         CohortConfig(onset_scale=-1.0)
     with pytest.raises(ValueError):
         CohortConfig(noise_sd=-0.1)
+    with pytest.raises(ValueError):
+        CohortConfig(noise_sd=float("nan"))
 
 
 def test_schedule_without_dropout():
