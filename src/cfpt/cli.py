@@ -22,6 +22,7 @@ import csv
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, itemgetter
 
@@ -763,6 +764,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error:data: {exc}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:  # a crossval worker process died
+        print(f"error:worker: {exc}", file=sys.stderr)
         return 1
 
 

@@ -7,13 +7,17 @@ minimizes the joint objective from :mod:`cfpt.losses` with Adam, a step
 learning-rate decay, and selection of the parameter snapshot at the epoch
 of minimum validation loss. Cross-validation is split at the patient
 level so no patient's scans appear in more than one of train / validation
-/ test within a fold.
+/ test within a fold; the folds train in parallel worker processes, up to
+one per available CPU.
 
 Everything is plain float64 numpy; all randomness flows from explicit
 seeds, so a (seed, config, data) triple fully determines every output.
 """
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,8 +71,8 @@ class TrainConfig:
             raise ValueError(
                 f"lr_decay_factor must lie in (0, 1), got {self.lr_decay_factor}"
             )
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -216,6 +220,18 @@ def _forward_batch(params: dict, X: np.ndarray):
     logit = h @ params["w_cls"] + params["b_cls"][0]
     t_pred = h @ params["w_reg"] + params["b_reg"][0]
     return expit(logit), t_pred, logit, hiddens
+
+
+def _forward_blocked(params: dict, X: np.ndarray, rows: int):
+    """``(y_hat, t_pred)`` of :func:`_forward_batch` over ``X``, run on
+    blocks of ``rows`` rows and joined.
+
+    Each row's outputs are the same bytes as in one whole pass; small
+    blocks keep every matmul under the BLAS library's threading threshold,
+    so a worker process uses one CPU.
+    """
+    blocks = [_forward_batch(params, X[i : i + rows])[:2] for i in range(0, len(X), rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def forward(params: dict, features) -> tuple[float, float]:
@@ -405,7 +421,7 @@ def train(
             loss_sum += loss * len(y[batch])
         history.train_loss.append(loss_sum / n)
 
-        y_hat_val, t_pred_val, _, _ = _forward_batch(params, val_set.features)
+        y_hat_val, t_pred_val = _forward_blocked(params, val_set.features, tcfg.batch_size)
         val_loss, _ = _batch_loss(
             y_hat_val, t_pred_val, val_set.t_d, val_set.p, val_set.y, tcfg.loss
         )
@@ -436,8 +452,8 @@ def predict(params: dict, dataset: ScanDataset) -> list[Prediction]:
         return []
     y_hat, t_pred, _, _ = _forward_batch(params, dataset.features)
     return [
-        Prediction(sid, float(yh), float(tp))
-        for sid, yh, tp in zip(dataset.scan_ids, y_hat, t_pred)
+        Prediction(sid, yh, tp)
+        for sid, yh, tp in zip(dataset.scan_ids, y_hat.tolist(), t_pred.tolist())
     ]
 
 
@@ -495,6 +511,23 @@ class CrossvalResult:
     histories: list[TrainHistory]
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (``taskset`` narrows them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _train_fold(fold: int, train_set, val_set, mcfg, tcfg) -> tuple[dict, TrainHistory]:
+    """One fold's :func:`train`, with the fold number in its errors; runs in
+    a worker process or in-process alike."""
+    try:
+        return train(train_set, val_set, mcfg, tcfg)
+    except ValueError as exc:
+        raise ValueError(f"fold {fold}: {exc}") from exc
+
+
 def run_crossval(
     dataset: ScanDataset, mcfg: ModelConfig, tcfg: TrainConfig, k: int = 5
 ) -> CrossvalResult:
@@ -503,24 +536,41 @@ def run_crossval(
     Each scan is predicted exactly once, by the model whose training and
     validation never saw its patient. Per-fold training uses independent
     seeds derived from (config seed, fold index).
+
+    The folds train in ``min(k, available CPUs)`` forked worker processes,
+    or in this process when that is one or ``fork`` is unavailable; both
+    give the same bytes. Prediction and pooling stay here, in fold order.
+    All workers have exited when this returns or raises; a worker that
+    dies raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     assignments = crossval_split(dataset.patients(), k, tcfg.seed)
+    jobs = [
+        (
+            fa.fold,
+            dataset.subset_patients(fa.train),
+            dataset.subset_patients(fa.val),
+            replace(mcfg, seed=fold_seed(mcfg.seed, fa.fold)),
+            replace(tcfg, seed=fold_seed(tcfg.seed, fa.fold)),
+        )
+        for fa in assignments
+    ]
+    workers = min(k, _available_cpus())
+    # fork, not spawn: a spawned worker imports numpy, scipy and cfpt again,
+    # 1.2-1.5 s on a 2-vCPU VM, longer than a whole 4-epoch reference
+    # crossval there. In the CLI the only other threads are OpenBLAS's,
+    # which it stops before a fork (pthread_atfork).
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            trained = list(pool.map(_train_fold, *zip(*jobs)))
+    else:
+        trained = [_train_fold(*job) for job in jobs]
+
     predictions: list[Prediction] = []
     prediction_folds: list[int] = []
-    histories = []
-    for fa in assignments:
-        train_ds = dataset.subset_patients(fa.train)
-        val_ds = dataset.subset_patients(fa.val)
-        test_ds = dataset.subset_patients(fa.test)
-        fold_mcfg = replace(mcfg, seed=fold_seed(mcfg.seed, fa.fold))
-        fold_tcfg = replace(tcfg, seed=fold_seed(tcfg.seed, fa.fold))
-        try:
-            params, history = train(train_ds, val_ds, fold_mcfg, fold_tcfg)
-        except ValueError as exc:
-            raise ValueError(f"fold {fa.fold}: {exc}") from exc
-        preds = predict(params, test_ds)
+    for fa, (params, _) in zip(assignments, trained):
+        preds = predict(params, dataset.subset_patients(fa.test))
         predictions.extend(preds)
         prediction_folds.extend([fa.fold] * len(preds))
-        histories.append(history)
+    histories = [history for _, history in trained]
     return CrossvalResult(predictions, prediction_folds, assignments, histories)
-

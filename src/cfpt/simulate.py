@@ -21,6 +21,7 @@ ultimately diagnosed, a few scans per patient a year apart) mimic a real
 annual-screening cohort; all finer structure is invented.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ class CohortConfig:
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
         if not self.onset_scale > 0 or not self.onset_shape > 0:
             raise ValueError("Weibull onset parameters must be positive")
-        if not self.noise_sd >= 0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)

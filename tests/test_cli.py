@@ -1,9 +1,12 @@
+import multiprocessing
+import os
 import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import cfpt.model
 from cfpt.cli import (
     _CONFIG_KEYS,
     ConfigError,
@@ -483,6 +486,15 @@ def test_main_success_and_errors(tmp_path, capsys):
         bad.write_text(line, encoding="utf-8")
         assert main(["crossval", "--config", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:config: unknown config key")
+    fresh = tmp_path / "fresh"
+    for command, line, message in (
+        ("synth", "cohort.noise_sd = inf\n", "noise_sd must be finite"),
+        ("crossval", "train.weight_decay = inf\n", "weight_decay must be finite"),
+    ):
+        bad.write_text(line, encoding="utf-8")
+        assert main([command, "--config", str(bad), "--out", str(fresh)]) == 1
+        assert capsys.readouterr().err.startswith(f"error:config: {message}")
+        assert not fresh.exists()
 
     assert main(["label", str(out / "scans.csv"), "--out", str(out / "l.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:schema:")
@@ -542,6 +554,66 @@ def test_main_crossval_nan_input_fails_before_training(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:schema:")
     assert f"{data / 'labels.csv'} row 2: column t_d" in err
+    assert not run.exists()
+
+
+def _crossval_inputs(tmp_path, extra=""):
+    """A 60-patient cohort on disk and a crossval config over it."""
+    cfg_path = tmp_path / "exp.cfg"
+    data = tmp_path / "data"
+    cfg_path.write_text(
+        f"cohort.n_patients = 60\nk_folds = 3\nmodel.hidden_dims = 8\n"
+        f"train.max_epochs = 3\ntrain.lr_decay_epochs = 2\n{extra}"
+        f"paths.labels = {data / 'labels.csv'}\npaths.scans = {data / 'scans.csv'}\n",
+        encoding="utf-8",
+    )
+    assert main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert main(["label", str(data / "patients.csv"), "--out", str(data / "labels.csv")]) == 0
+    return cfg_path
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_crossval_fold_error_is_one_line_and_leaves_no_worker(tmp_path, capfd):
+    # a step size of 1e300 overflows the first minibatch of every fold
+    cfg_path = _crossval_inputs(tmp_path, "train.lr0 = 1e300\n")
+    capfd.readouterr()
+    run = tmp_path / "run"
+    assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
+    # fd-level capture: worker processes write to the same stderr
+    assert _error_lines(capfd.readouterr().err) == [
+        "error:data: fold 0: training diverged: non-finite predictions in a minibatch"
+    ]
+    assert multiprocessing.active_children() == []
+    assert not run.exists()
+
+
+@pytest.mark.skipif(
+    cfpt.model._available_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="crossval runs in-process here: no worker to lose",
+)
+def test_main_crossval_dead_worker_is_one_line_and_leaves_no_worker(tmp_path, capfd, monkeypatch):
+    cfg_path = _crossval_inputs(tmp_path)
+    capfd.readouterr()
+    parent = os.getpid()
+    real_train = cfpt.model.train
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_train(*args)
+
+    monkeypatch.setattr(cfpt.model, "train", dies_in_a_worker)
+    run = tmp_path / "run"
+    assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
+    err = capfd.readouterr().err
+    (line,) = _error_lines(err)
+    assert line.startswith("error:worker: ")
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
     assert not run.exists()
 
 

@@ -6,6 +6,10 @@ reference it replaces, so any difference is a change of behaviour.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +21,21 @@ from cfpt.cli import (
     cmd_km,
     cmd_label,
     cmd_synth,
+    main,
 )
 from cfpt.losses import LossConfig, cel, crl, crl_grad, fused_joint_loss
 from cfpt.metrics import roc_auc
-from cfpt.model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step
+from cfpt.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    ModelConfig,
+    _forward_batch,
+    _forward_blocked,
+    adam_step,
+    init_params,
+)
 
 
 def _random_batch(rng, n):
@@ -85,6 +100,21 @@ def test_flat_adam_equals_per_key_loop(weight_decay):
         assert params[k].shape == shapes[k]
         assert params[k].tobytes() == expected[k].tobytes(), k
         assert state.params[k] is params[k]
+
+
+def test_blocked_forward_equals_whole_pass():
+    rng = np.random.default_rng(54)
+    params = init_params(ModelConfig(input_dim=9, hidden_dims=(64, 64), seed=3), t_d_mean=2.0)
+    for k in params:  # nonzero biases, so every term of each layer counts
+        params[k] = params[k] + rng.normal(scale=0.1, size=params[k].shape)
+    # row counts that are not multiples of the block; the larger ones cross
+    # the BLAS threading threshold in a whole pass
+    for n, rows in ((1, 32), (31, 32), (33, 32), (1550, 32), (333, 64), (7735, 100)):
+        X = rng.normal(size=(n, 9))
+        y_hat, t_pred, _, _ = _forward_batch(params, X)
+        y_hat_b, t_pred_b = _forward_blocked(params, X, rows)
+        assert y_hat_b.tobytes() == y_hat.tobytes(), (n, rows)
+        assert t_pred_b.tobytes() == t_pred.tobytes(), (n, rows)
 
 
 def _roc_reference(scores, labels):
@@ -184,3 +214,37 @@ def test_crossval_outputs_match_recorded_hashes(tmp_path):
         for f in sorted(tmp_path.rglob("*")) if f.is_file()
     }
     assert got == GOLDEN_PIPELINE
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_crossval_pinned_to_one_cpu_writes_the_same_bytes(tmp_path):
+    """One CPU trains the folds in-process, more train them in worker
+    processes; every file either run writes must be the same."""
+    data = tmp_path / "data"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "k_folds = 4\ncohort.n_patients = 80\ncohort.feature_dim = 3\n"
+        "model.hidden_dims = 16, 8\ntrain.max_epochs = 4\ntrain.lr_decay_epochs = 3\n"
+        f"train.batch_size = 12\npaths.labels = {data / 'labels.csv'}\n"
+        f"paths.scans = {data / 'scans.csv'}\n",
+        encoding="utf-8",
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def pin_to_one_cpu():  # runs in the child only, before it starts Python
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    def cfpt(*args, preexec_fn=None):
+        subprocess.run([sys.executable, "-m", "cfpt.cli", *map(str, args)], env=env,
+                       check=True, capture_output=True, preexec_fn=preexec_fn, timeout=300)
+
+    assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["label", str(data / "patients.csv"), "--out", str(data / "labels.csv")]) == 0
+    cfpt("crossval", "--config", cfg, "--out", tmp_path / "pinned", preexec_fn=pin_to_one_cpu)
+    cfpt("crossval", "--config", cfg, "--out", tmp_path / "free")
+    pinned = {f.name: f.read_bytes() for f in (tmp_path / "pinned").iterdir()}
+    free = {f.name: f.read_bytes() for f in (tmp_path / "free").iterdir()}
+    assert len(pinned) == 6  # predictions, folds and four histories
+    assert pinned == free

@@ -516,6 +516,8 @@ def test_run_crossval_folds_keep_every_config_field(monkeypatch):
         return real_train(train_set, val_set, mcfg, tcfg)
 
     monkeypatch.setattr(cfpt.model, "train", spy)
+    # the spy sees only this process: train the folds here, not in workers
+    monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
     ds = _toy_dataset(np.random.default_rng(39), n_patients=9)
     mcfg = ModelConfig(input_dim=2, hidden_dims=(3, 2), seed=4)
     tcfg = _fast_tcfg(
