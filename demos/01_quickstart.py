@@ -38,13 +38,19 @@ print(f"cohort: {s.n_patients} patients, {s.n_scans} scans, "
 # scan-level malignancy bit y. Non-cancer patients are right-censored at
 # last scan + 1.
 
-labels = [lb for rec in records for lb in derive_scan_labels(rec)]
-one = next(lb for lb in labels if lb.y == 1)
-print(f"example malignant scan: {one.scan_id}  t_d={one.t_d:.2f}  p={one.p}  y={one.y}")
+# The labels are one table: a list of scan ids and patient ids, and one
+# numpy array per label column.
+
+labels = derive_scan_labels(records)
+i = int(np.flatnonzero(labels.y)[0])
+print(f"example malignant scan: {labels.scan_ids[i]}  t_d={labels.t_d[i]:.2f}  "
+      f"p={labels.p[i]}  y={labels.y[i]}")
 
 # --- 3. patient-level cross-validation --------------------------------------
 # All scans of a patient stay on the same side of every split; pooled
-# out-of-fold predictions cover each labeled scan exactly once.
+# out-of-fold predictions cover each labeled scan exactly once. The features
+# are a (scan_ids, matrix) pair; build_dataset joins them to the labels by
+# scan id.
 
 dataset = build_dataset(labels, features)
 mcfg = ModelConfig(input_dim=dataset.input_dim, hidden_dims=(16,), seed=0)
@@ -52,7 +58,7 @@ tcfg = TrainConfig(max_epochs=40, lr_decay_epochs=(25, 35), batch_size=16,
                    loss=LossConfig(lam=0.5, epsilon=1.0), seed=0)
 result = run_crossval(dataset, mcfg, tcfg, k=3)
 print(f"crossval: {len(result.predictions)} pooled predictions over "
-      f"{len(result.folds)} folds")
+      f"{len(result.folds)} folds (scans per fold: {np.bincount(result.predictions.fold).tolist()})")
 
 # --- 4. the evaluation battery ----------------------------------------------
 

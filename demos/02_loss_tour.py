@@ -14,7 +14,7 @@ defined progression time t_d (margin epsilon, default 1):
 
 import numpy as np
 
-from cfpt import LossConfig, ScanLabel, Prediction, batch_loss, cel, crl, crl_grad, joint_loss
+from cfpt import LossConfig, cel, crl, crl_grad
 
 eps = 1.0
 
@@ -47,15 +47,11 @@ print(f"grad just left/right of the clamp: "
 # pure classifier; the regression head then gets no training signal.
 
 cfg = LossConfig(lam=0.5, epsilon=1.0)
-label = ScanLabel(scan_id="s0", patient_id="p0", t_d=2.0, p=1, y=0, right_censored=False)
-pred = Prediction(scan_id="s0", y_hat=0.3, t_pred=1.5)
 print(f"joint = lambda*crl + cel = {cfg.lam}*{crl(1.5, 2.0, 1, eps):.4f} + "
-      f"{cel(0.3, 0):.4f} = {joint_loss(pred, label, cfg):.4f}")
+      f"{cel(0.3, 0):.4f} = {cfg.lam * crl(1.5, 2.0, 1, eps) + cel(0.3, 0):.4f}")
 
-labels = [
-    label,
-    ScanLabel(scan_id="s1", patient_id="p1", t_d=4.0, p=0, y=0, right_censored=True),
-]
-preds = [pred, Prediction(scan_id="s1", y_hat=0.1, t_pred=5.0)]
-per_scan = [joint_loss(pr, lb, cfg) for pr, lb in zip(preds, labels)]
-print(f"batch mean {batch_loss(preds, labels, cfg):.4f} = mean of {per_scan}")
+# every loss function takes arrays too: one entry per scan of a batch
+y_hat, t_pred = np.array([0.3, 0.1]), np.array([1.5, 5.0])
+t_d, p, y = np.array([2.0, 4.0]), np.array([1, 0]), np.array([0, 0])
+per_scan = cfg.lam * crl(t_pred, t_d, p, cfg.epsilon) + cel(y_hat, y)
+print(f"batch mean {per_scan.mean():.4f} = mean of {per_scan.round(4).tolist()}")

@@ -24,8 +24,8 @@ records = [
     PatientRecord(patient_id="c1", scan_times=(0.0, 1.0, 2.0), is_cancer=True, diagnosis_time=2.5),
     PatientRecord(patient_id="c2", scan_times=(0.0, 2.0), is_cancer=True, diagnosis_time=3.0),
 ]
-labels = [lb for rec in records for lb in derive_scan_labels(rec)]
-km = km_estimate([lb.t_d for lb in labels], [lb.p for lb in labels])
+labels = derive_scan_labels(records)
+km = km_estimate(labels.t_d, labels.p)
 print("KM steps (time, survival, at risk, events):")
 for row in zip(km.times, km.survival, km.n_at_risk, km.n_events):
     print("  {:4.1f}  {:.3f}  {:2d}  {:d}".format(*row))

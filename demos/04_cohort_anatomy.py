@@ -8,10 +8,9 @@ signal that grows as onset approaches, so the learning problem is
 solvable but noisy.
 """
 
-import numpy as np
-
 from cfpt import (
     CohortConfig,
+    build_dataset,
     calibrate_onset_scale,
     cohort_summary,
     derive_scan_labels,
@@ -36,18 +35,19 @@ print("scans per patient:", ", ".join(f"{k}x{v}" for k, v in counts))
 rec = next(r for r in records if r.is_cancer and len(r.scan_times) > 2)
 print(f"\npatient {rec.patient_id}: onset {onsets[rec.patient_id]:.2f}, "
       f"diagnosis {rec.diagnosis_time}, scans {[f'{t:g}' for t in rec.scan_times]}")
-for lb in derive_scan_labels(rec):
-    print(f"  {lb.scan_id}: t_d={lb.t_d:+.2f}  p={lb.p}  y={lb.y}")
+one = derive_scan_labels([rec])
+for sid, t_d, p, y in zip(one.scan_ids, one.t_d, one.p, one.y):
+    print(f"  {sid}: t_d={t_d:+.2f}  p={p}  y={y}")
 
 # --- the ramp channel carries the scan-level signal ------------------------------
 # The last feature column is the progression ramp; judged as a lone
 # malignancy score it already beats chance by a wide margin. The static
 # risk covariates only shift when onset happens, so alone each is weak.
 
-labels = [lb for rec in records for lb in derive_scan_labels(rec)]
-y = np.array([lb.y for lb in labels])
-ramp = np.array([features[lb.scan_id][-1] for lb in labels])
-covariate = np.array([features[lb.scan_id][0] for lb in labels])
+dataset = build_dataset(derive_scan_labels(records), features)
+y = dataset.y
+ramp = dataset.features[:, -1]
+covariate = dataset.features[:, 0]
 print(f"\nAUC of the ramp channel alone:    {roc_auc(ramp, y)[0]:.3f}")
 print(f"AUC of one risk covariate alone:  {roc_auc(covariate, y)[0]:.3f}")
 

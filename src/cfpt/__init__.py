@@ -9,8 +9,8 @@ around it.
 """
 
 from .labels import (
+    LabelTable,
     PatientRecord,
-    ScanLabel,
     derive_scan_labels,
     effective_biopsy_time,
     effective_scan_ids,
@@ -18,13 +18,10 @@ from .labels import (
 )
 from .losses import (
     LossConfig,
-    Prediction,
-    batch_loss,
     cel,
     cel_grad_logit,
     crl,
     crl_grad,
-    joint_loss,
 )
 from .metrics import (
     EvalReport,
@@ -44,6 +41,7 @@ from .model import (
     CrossvalResult,
     FoldAssignment,
     ModelConfig,
+    PredictionTable,
     ScanDataset,
     TrainConfig,
     TrainHistory,
@@ -70,16 +68,15 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PatientRecord", "ScanLabel", "derive_scan_labels", "effective_biopsy_time",
+    "LabelTable", "PatientRecord", "derive_scan_labels", "effective_biopsy_time",
     "effective_scan_ids", "validate_record",
-    "LossConfig", "Prediction", "crl", "crl_grad", "cel", "cel_grad_logit",
-    "joint_loss", "batch_loss",
+    "LossConfig", "crl", "crl_grad", "cel", "cel_grad_logit",
     "EvalReport", "KMCurve", "McNemarResult", "RegionRatios", "ThresholdRow",
     "evaluate", "km_estimate", "mcnemar", "region_ratios", "roc_auc",
     "threshold_table",
     "AdamState", "CrossvalResult", "FoldAssignment", "ModelConfig",
-    "ScanDataset", "TrainConfig", "TrainHistory", "adam_step", "backward",
-    "build_dataset", "crossval_split", "effective_lr", "forward",
+    "PredictionTable", "ScanDataset", "TrainConfig", "TrainHistory", "adam_step",
+    "backward", "build_dataset", "crossval_split", "effective_lr", "forward",
     "init_params", "predict", "run_crossval", "train",
     "CohortConfig", "CohortSummary", "calibrate_onset_scale", "cohort_summary",
     "generate_cohort", "reference_cohort_config",

@@ -9,12 +9,16 @@ Subcommands::
     cfpt crossval  --config exp.cfg --out DIR       pooled out-of-fold predictions
     cfpt eval      PREDICTIONS LABELS --out DIR     report + roc/km/scatter CSVs
     cfpt km        LABELS_CSV --out KM_CSV          survival curve of the labels
-    cfpt losscheck [--seed N]                       loss/gradient self-verification
 
 Experiment configs are flat text files of dotted keys (``train.lr0 = 1e-3``),
 ``#`` comments, and nothing else; unknown keys are rejected. All floats are
 written with ``repr`` so a rerun with the same config is byte-identical.
 Errors print a single ``error:<class>: message`` line and exit nonzero.
+
+Per-scan files are read and written as column tables, never as an object
+per row: labels as a :class:`~cfpt.labels.LabelTable`, predictions as a
+:class:`~cfpt.model.PredictionTable`, and scan features as a
+``(scan_ids, matrix)`` pair.
 """
 
 import argparse
@@ -28,10 +32,10 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .labels import PatientRecord, ScanLabel, derive_scan_labels, effective_scan_ids
-from .losses import LossConfig, Prediction, cel, cel_grad_logit, crl, crl_grad, joint_loss
+from .labels import LabelTable, PatientRecord, derive_scan_labels, effective_scan_ids
+from .losses import LossConfig
 from .metrics import EvalReport, KMCurve, evaluate, km_estimate
-from .model import ModelConfig, TrainConfig, build_dataset, run_crossval
+from .model import ModelConfig, PredictionTable, TrainConfig, build_dataset, run_crossval
 from .simulate import CohortConfig, CohortSummary, cohort_summary, generate_cohort
 
 
@@ -288,14 +292,19 @@ def _parse_column(path, name, kind, cells):
     raise SchemaError(f"{path} row {bad + 1}: column {name}: " + complaint.format(cells[bad - 1]))
 
 
-def _read_csv(path, schema) -> list:
-    """The columns of a CSV file whose header is ``schema``'s names, each
-    parsed by its kind; a bad row or cell fails naming its row and column."""
-    header = list(schema)
+def _load_csv(path) -> tuple:
+    """The header (None in an empty file) and data rows of a CSV file."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        rows = list(reader)
+        return next(reader, None), list(reader)
+
+
+def _read_csv(path, schema, loaded=None) -> list:
+    """The columns of a CSV file whose header is ``schema``'s names, each
+    parsed by its kind; a bad row or cell fails naming its row and column.
+    ``loaded`` is the file's :func:`_load_csv`, when the caller has it."""
+    header = list(schema)
+    got, rows = _load_csv(path) if loaded is None else loaded
     if got is None:
         raise SchemaError(f"{path} row 1: missing header")
     if got != header:
@@ -316,12 +325,6 @@ def _write_csv(path, schema, columns) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(schema)
         w.writerows(zip(*cells))
-
-
-def _fields(items, names) -> list:
-    """One column per attribute name: the named attribute of each item."""
-    items = list(items)
-    return [map(attrgetter(name), items) for name in names]
 
 
 def write_patients_csv(path, records) -> None:
@@ -360,29 +363,26 @@ def read_patients_csv(path) -> list:
     return records
 
 
-def write_scans_csv(path, features: dict, order) -> None:
-    """Feature table in the given scan order; column count from the data."""
-    vectors = [features[sid] for sid in order]
-    dims = set(map(len, vectors))
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent feature lengths: {sorted(dims)}")
-    d = dims.pop() if dims else 0
-    schema = {"scan_id": "key", **{f"f{j}": "float" for j in range(d)}}
-    _write_csv(path, schema, [order, *(map(itemgetter(j), vectors) for j in range(d))])
+def write_scans_csv(path, features) -> None:
+    """Write ``features``, a ``(scan_ids, matrix)`` pair, one row per scan
+    in the pair's order; the column count is the matrix's."""
+    scan_ids, matrix = features
+    matrix = np.asarray(matrix, dtype=np.float64)
+    schema = {"scan_id": "key", **{f"f{j}": "float" for j in range(matrix.shape[1])}}
+    _write_csv(path, schema, [scan_ids, *matrix.T.tolist()])
 
 
-def read_scans_csv(path) -> dict:
-    """scan_id -> feature vector; each vector is a row view of one matrix,
-    and a NaN or inf anywhere fails with its row and column."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        width = len(next(csv.reader(fh), ()))
-    names = [f"f{j}" for j in range(max(width - 1, 1))]
-    ids, *columns = _read_csv(path, {"scan_id": "key", **dict.fromkeys(names, "str")})
+def read_scans_csv(path) -> tuple:
+    """The ``(scan_ids, matrix)`` pair of a scans file, one matrix row per
+    scan in file order; a NaN or inf anywhere fails with its row and column."""
+    loaded = _load_csv(path)
+    names = [f"f{j}" for j in range(max(len(loaded[0] or ()) - 1, 1))]
+    ids, *columns = _read_csv(path, {"scan_id": "key", **dict.fromkeys(names, "str")}, loaded)
     # parsed a column at a time, so one column of Python floats is alive at once
     mat = np.empty((len(ids), len(names)))
     for j, (name, cells) in enumerate(zip(names, columns)):
         mat[:, j] = _parse_column(path, name, "float", cells)
-    return dict(zip(ids, mat))
+    return ids, mat
 
 
 def write_truth_csv(path, onsets: dict, order) -> None:
@@ -390,22 +390,26 @@ def write_truth_csv(path, onsets: dict, order) -> None:
     _write_csv(path, _TRUTH, [order, [onsets[pid] for pid in order]])
 
 
-def write_labels_csv(path, labels) -> None:
-    _write_csv(path, _LABELS, _fields(labels, _LABELS))
+def write_labels_csv(path, labels: LabelTable) -> None:
+    _write_csv(path, _LABELS, [
+        labels.scan_ids, labels.patient_ids, labels.t_d.tolist(), labels.p.tolist(),
+        labels.y.tolist(), labels.right_censored.tolist(),
+    ])
 
 
-def read_labels_csv(path) -> list:
-    sid, pid, t_d, p, y, rc = _read_csv(path, _LABELS)
-    return list(map(ScanLabel, sid, pid, t_d, p, y, map(bool, rc)))
+def read_labels_csv(path) -> LabelTable:
+    return LabelTable(*_read_csv(path, _LABELS))
 
 
-def write_predictions_csv(path, predictions, folds) -> None:
-    _write_csv(path, _PREDICTIONS, [*_fields(predictions, ("scan_id", "y_hat", "t_pred")), folds])
+def write_predictions_csv(path, predictions: PredictionTable) -> None:
+    _write_csv(path, _PREDICTIONS, [
+        predictions.scan_ids, predictions.y_hat.tolist(), predictions.t_pred.tolist(),
+        predictions.fold.tolist(),
+    ])
 
 
-def read_predictions_csv(path):
-    sid, y_hat, t_pred, folds = _read_csv(path, _PREDICTIONS)
-    return list(map(Prediction, sid, y_hat, t_pred)), folds
+def read_predictions_csv(path) -> PredictionTable:
+    return PredictionTable(*_read_csv(path, _PREDICTIONS))
 
 
 def write_km_csv(path, km: KMCurve) -> None:
@@ -421,7 +425,7 @@ def write_scatter_csv(path, points) -> None:
 
 
 def write_threshold_csv(path, rows) -> None:
-    _write_csv(path, _THRESHOLDS, _fields(rows, _THRESHOLDS))
+    _write_csv(path, _THRESHOLDS, [list(map(attrgetter(name), rows)) for name in _THRESHOLDS])
 
 
 def write_history_csv(path, history) -> None:
@@ -448,9 +452,8 @@ def cmd_synth(cfg: ExperimentConfig, out_dir) -> CohortSummary:
     """Generate the cohort and write patients/scans/truth CSVs."""
     os.makedirs(out_dir, exist_ok=True)
     records, features, onsets = generate_cohort(cfg.cohort)
-    scan_order = [sid for rec in records for sid in rec.scan_ids]
     write_patients_csv(os.path.join(out_dir, "patients.csv"), records)
-    write_scans_csv(os.path.join(out_dir, "scans.csv"), features, scan_order)
+    write_scans_csv(os.path.join(out_dir, "scans.csv"), features)
     write_truth_csv(
         os.path.join(out_dir, "truth.csv"), onsets, [rec.patient_id for rec in records]
     )
@@ -459,8 +462,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir) -> CohortSummary:
 
 def cmd_label(patients_csv, labels_csv) -> int:
     """Derive per-scan labels from a patients CSV; returns the row count."""
-    records = read_patients_csv(patients_csv)
-    labels = [lb for rec in records for lb in derive_scan_labels(rec)]
+    labels = derive_scan_labels(read_patients_csv(patients_csv))
     write_labels_csv(labels_csv, labels)
     return len(labels)
 
@@ -484,9 +486,7 @@ def cmd_crossval(cfg: ExperimentConfig, out_dir):
     )
     result = run_crossval(ds, mcfg, cfg.train, cfg.k_folds)
     os.makedirs(out_dir, exist_ok=True)
-    write_predictions_csv(
-        os.path.join(out_dir, "predictions.csv"), result.predictions, result.prediction_folds
-    )
+    write_predictions_csv(os.path.join(out_dir, "predictions.csv"), result.predictions)
     write_folds_csv(os.path.join(out_dir, "folds.csv"), result.folds)
     for fa, hist in zip(result.folds, result.histories):
         write_history_csv(os.path.join(out_dir, f"history_fold{fa.fold}.csv"), hist)
@@ -503,11 +503,11 @@ def cmd_eval(
 ) -> EvalReport:
     """Full evaluation battery over pooled predictions; writes the report
     plus roc/km/scatter/threshold CSVs."""
-    preds, _ = read_predictions_csv(predictions_csv)
+    preds = read_predictions_csv(predictions_csv)
     labels = read_labels_csv(labels_csv)
     preds_b = None
     if predictions_b_csv is not None:
-        preds_b, _ = read_predictions_csv(predictions_b_csv)
+        preds_b = read_predictions_csv(predictions_b_csv)
     report = evaluate(
         preds, labels, thresholds, operating_point=operating_point, predictions_b=preds_b
     )
@@ -526,105 +526,12 @@ def cmd_km(labels_csv, out_csv) -> tuple[KMCurve, int]:
     """Kaplan-Meier fit of the label distribution (t_d with event p);
     post-biopsy scans (negative t_d) are excluded and counted."""
     labels = read_labels_csv(labels_csv)
-    kept = [(lb.t_d, lb.p) for lb in labels if lb.t_d >= 0]
-    if not kept:
+    kept = labels.t_d >= 0
+    if not kept.any():
         raise SchemaError(f"{labels_csv}: no scans with non-negative t_d")
-    times, events = zip(*kept)
-    km = km_estimate(times, events)
+    km = km_estimate(labels.t_d[kept], labels.p[kept])
     write_km_csv(out_csv, km)
-    return km, len(labels) - len(kept)
-
-
-def cmd_losscheck(seed: int = 0, n: int = 500):
-    """Self-verification of the joint objective: recompute loss values from
-    the branch definitions, and check both analytic gradients against
-    central finite differences. Returns (ok, report lines)."""
-    rng = np.random.default_rng(seed)
-    lines = []
-    ok = True
-
-    n_val = 0
-    worst_val = 0.0
-    while n_val < 2000:
-        t_pred = rng.uniform(-5, 10)
-        t_d = rng.uniform(-5, 10)
-        p = int(rng.integers(0, 2))
-        eps = rng.uniform(1e-3, 3.0)
-        if p == 0:
-            u = t_pred - t_d - eps
-            direct = u * u if u < 0 else 0.0
-        else:
-            v = t_pred - t_d + eps
-            direct = v * v if (t_d > eps or v > 0) else 0.0
-        worst_val = max(worst_val, abs(crl(t_pred, t_d, p, eps) - direct))
-        n_val += 1
-    val_ok = worst_val <= 1e-12
-    ok &= val_ok
-    lines.append(
-        f"crl three-branch recomputation: {'ok' if val_ok else 'FAIL'} "
-        f"(2000 samples, worst abs err {worst_val:.3g})"
-    )
-
-    h = 1e-5
-    n_done = 0
-    worst = 0.0
-    while n_done < n:
-        t_pred = rng.uniform(-5, 10)
-        t_d = rng.uniform(-5, 10)
-        p = int(rng.integers(0, 2))
-        eps = rng.uniform(0.05, 3.0)
-        kink = t_d + eps if p == 0 else t_d - eps
-        if p == 1 and t_d > eps:
-            kink = None
-        if kink is not None and abs(t_pred - kink) < 1e-3:
-            continue
-        fd = (crl(t_pred + h, t_d, p, eps) - crl(t_pred - h, t_d, p, eps)) / (2 * h)
-        an = crl_grad(t_pred, t_d, p, eps)
-        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-8))
-        n_done += 1
-    grad_ok = worst <= 1e-5
-    ok &= grad_ok
-    lines.append(
-        f"crl_grad vs central differences: {'ok' if grad_ok else 'FAIL'} "
-        f"({n} samples, worst rel err {worst:.3g})"
-    )
-
-    from scipy.special import expit
-
-    worst = 0.0
-    for _ in range(n):
-        logit = rng.uniform(-10, 10)
-        y = int(rng.integers(0, 2))
-        fd = (cel(float(expit(logit + h)), y) - cel(float(expit(logit - h)), y)) / (2 * h)
-        an = cel_grad_logit(logit, y)
-        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-8))
-    cel_ok = worst <= 1e-5
-    ok &= cel_ok
-    lines.append(
-        f"cel_grad_logit vs central differences: {'ok' if cel_ok else 'FAIL'} "
-        f"({n} samples, worst rel err {worst:.3g})"
-    )
-
-    cfg = LossConfig(lam=0.5, epsilon=1.0)
-    worst = 0.0
-    for i in range(n):
-        pred = Prediction(f"s{i}", float(rng.uniform(0.01, 0.99)), float(rng.uniform(-5, 10)))
-        label = ScanLabel(
-            f"s{i}", "p", float(rng.uniform(-5, 10)), int(rng.integers(0, 2)),
-            int(rng.integers(0, 2)), False,
-        )
-        direct = cfg.lam * crl(pred.t_pred, label.t_d, label.p, cfg.epsilon)
-        direct += cel(pred.y_hat, label.y)
-        worst = max(worst, abs(joint_loss(pred, label, cfg) - direct))
-    joint_ok = worst <= 1e-12
-    ok &= joint_ok
-    lines.append(
-        f"joint composition lambda*crl + cel: {'ok' if joint_ok else 'FAIL'} "
-        f"({n} samples, worst abs err {worst:.3g})"
-    )
-
-    lines.append("losscheck: PASS" if ok else "losscheck: FAIL")
-    return bool(ok), lines
+    return km, len(labels) - int(kept.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -696,13 +603,6 @@ def _run_km(args) -> int:
     return 0
 
 
-def _run_losscheck(args) -> int:
-    ok, lines = cmd_losscheck(seed=args.seed if args.seed is not None else 0)
-    for line in lines:
-        print(line)
-    return 0 if ok else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfpt",
@@ -744,10 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels_csv")
     p.add_argument("--out", required=True, help="KM CSV to write")
     p.set_defaults(func=_run_km)
-
-    p = sub.add_parser("losscheck", help="loss and gradient self-verification")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_run_losscheck)
 
     return parser
 

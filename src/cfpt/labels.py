@@ -19,10 +19,15 @@ for every scan:
 Malignancy is a scan-level notion here, not a subject-level one: an early
 scan of a patient who is diagnosed years later carries ``p = 1`` but
 ``y = 0``.
+
+A cohort's labels are one :class:`LabelTable`, a column per field, from
+:func:`derive_scan_labels` through the labels CSV to training and
+evaluation.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,16 +55,35 @@ class PatientRecord:
             object.__setattr__(self, "scan_ids", tuple(str(s) for s in self.scan_ids))
 
 
-@dataclass(frozen=True)
-class ScanLabel:
-    """Training target for one scan: defined CFPT plus the two binary labels."""
+@dataclass(eq=False)
+class LabelTable:
+    """Training targets of a cohort, one row per scan, in parallel columns.
 
-    scan_id: str
-    patient_id: str
-    t_d: float
-    p: int
-    y: int
-    right_censored: bool
+    ``scan_ids`` and ``patient_ids`` are lists of str; ``t_d`` is float64,
+    ``p`` and ``y`` int64 and ``right_censored`` bool, converted on
+    construction. Values are not checked here: the CSV reader checks them
+    in the file and ``build_dataset`` before training.
+    """
+
+    scan_ids: list
+    patient_ids: list
+    t_d: np.ndarray
+    p: np.ndarray
+    y: np.ndarray
+    right_censored: np.ndarray
+
+    def __post_init__(self):
+        self.t_d = np.asarray(self.t_d, dtype=np.float64)
+        self.p = np.asarray(self.p, dtype=np.int64)
+        self.y = np.asarray(self.y, dtype=np.int64)
+        self.right_censored = np.asarray(self.right_censored, dtype=bool)
+        n = len(self.scan_ids)
+        if not all(len(c) == n for c in (self.patient_ids, self.t_d, self.p, self.y,
+                                          self.right_censored)):
+            raise ValueError("LabelTable columns must have matching lengths")
+
+    def __len__(self):
+        return len(self.scan_ids)
 
 
 def validate_record(record: PatientRecord) -> list[str]:
@@ -123,33 +147,40 @@ def effective_biopsy_time(record: PatientRecord) -> float:
     return record.scan_times[-1]
 
 
-def derive_scan_labels(record: PatientRecord) -> list[ScanLabel]:
-    """Derive one :class:`ScanLabel` per scan, in scan order.
+def derive_scan_labels(records) -> LabelTable:
+    """Derive the :class:`LabelTable` of ``records``: one row per scan,
+    patients in the given order and each patient's scans in scan order.
 
     Never-diagnosed patients: ``t_d`` is the gap to the last scan plus one
     year (so the last scan gets exactly 1.0), all labels negative,
     right-censored. Cancer patients: ``t_d`` is the signed gap to the
     biopsy time ``b``; malignant scans are the latest one at or before
     ``b`` (when any scan precedes it) together with every scan after ``b``.
+    An invalid record raises ValueError naming its patient.
     """
-    _check_valid(record)
-    times = record.scan_times
-    ids = effective_scan_ids(record)
-
-    out = []
-    if not record.is_cancer:
-        last = times[-1]
-        for sid, t in zip(ids, times):
-            out.append(
-                ScanLabel(sid, record.patient_id, (last - t) + 1.0, 0, 0, True)
-            )
-        return out
-
-    b = effective_biopsy_time(record)
-    # index of the latest scan with scan_time <= b, or -1 when all scans
-    # are after the biopsy
-    latest_pre = bisect_right(times, b) - 1
-    for k, (sid, t) in enumerate(zip(ids, times)):
-        y = 1 if (k == latest_pre or t > b) else 0
-        out.append(ScanLabel(sid, record.patient_id, b - t, 1, y, False))
-    return out
+    records = list(records)
+    for rec in records:
+        _check_valid(rec)
+    counts = [len(rec.scan_times) for rec in records]
+    times = np.array([t for rec in records for t in rec.scan_times], dtype=np.float64)
+    cancer = np.repeat(np.array([rec.is_cancer for rec in records], dtype=bool), counts)
+    # the biopsy time of a cancer patient (see effective_biopsy_time), the
+    # last scan time of anyone else; both are per patient, repeated per scan
+    ref = np.repeat(np.array([
+        rec.scan_times[-1] if rec.diagnosis_time is None else rec.diagnosis_time
+        for rec in records
+    ], dtype=np.float64), counts)
+    gap = ref - times
+    last = np.zeros(len(times), dtype=bool)
+    last[np.cumsum(counts, dtype=np.intp) - 1] = True
+    # scan times increase, so a scan is the latest at or before b, or after
+    # b, exactly when it is its patient's last scan or the next one is after b
+    later = np.append(times[1:], np.inf)
+    return LabelTable(
+        scan_ids=[sid for rec in records for sid in effective_scan_ids(rec)],
+        patient_ids=[rec.patient_id for rec, k in zip(records, counts) for _ in range(k)],
+        t_d=np.where(cancer, gap, gap + 1.0),
+        p=cancer,
+        y=cancer & (last | (later > ref)),
+        right_censored=~cancer,
+    )

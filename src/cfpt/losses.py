@@ -27,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .labels import ScanLabel
-
 # cross entropy clamps predicted probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
 # so its log terms stay finite
 PROB_CLAMP = 1e-7
@@ -50,15 +48,6 @@ class LossConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.lam < 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Model output for one scan: malignancy probability and predicted CFPT."""
-
-    scan_id: str
-    y_hat: float
-    t_pred: float
 
 
 # checks call array methods (a.all(), not np.all(a)), which cost less per
@@ -174,37 +163,3 @@ def cel_grad_logit(logit, y):
     lg = _as_float_array(logit, "logit")
     yy = _check_binary(y, "y")
     return _scalar_or_array(expit(lg) - yy)
-
-
-def joint_loss(pred: Prediction, label: ScanLabel, cfg: LossConfig) -> float:
-    """Weighted sum ``lam * crl + cel`` for a single scan."""
-    reg = crl(pred.t_pred, label.t_d, label.p, cfg.epsilon)
-    cls = cel(pred.y_hat, label.y)
-    return cfg.lam * reg + cls
-
-
-def batch_loss(preds, labels, cfg: LossConfig) -> float:
-    """Arithmetic mean of :func:`joint_loss` over a batch.
-
-    The mean (rather than sum) reduction keeps the meaning of ``lam``
-    independent of batch size. Predictions and labels must pair up by
-    ``scan_id`` in order.
-    """
-    if len(preds) != len(labels):
-        raise ValueError(
-            f"batch length mismatch: {len(preds)} predictions, {len(labels)} labels"
-        )
-    if len(preds) == 0:
-        raise ValueError("batch_loss of an empty batch is undefined")
-    for pr, lb in zip(preds, labels):
-        if pr.scan_id != lb.scan_id:
-            raise ValueError(
-                f"scan_id mismatch in batch: {pr.scan_id!r} vs {lb.scan_id!r}"
-            )
-    t_pred = np.array([pr.t_pred for pr in preds])
-    y_hat = np.array([pr.y_hat for pr in preds])
-    t_d = np.array([lb.t_d for lb in labels])
-    p = np.array([lb.p for lb in labels])
-    y = np.array([lb.y for lb in labels])
-    total = cfg.lam * crl(t_pred, t_d, p, cfg.epsilon) + cel(y_hat, y)
-    return float(np.mean(total))

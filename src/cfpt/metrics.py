@@ -18,12 +18,10 @@ construction equals the plain fraction of those scans with ``P > T``.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
-from scipy.stats import binom, chi2, rankdata
-
-from .labels import ScanLabel
-from .losses import Prediction
+from scipy.stats import binom, chi2
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,8 @@ def roc_auc(scores, labels):
     Tied scores contribute 1/2 per positive-negative pair. The curve is an
     ``(m, 3)`` float64 array of ``threshold, fpr, tpr`` rows: row 0 is the
     ``(inf, 0, 0)`` anchor, then one row per distinct score, highest first.
-    Raises on single-class input, where the AUC is undefined.
+    A NaN score makes the AUC NaN. Raises on single-class input, where the
+    AUC is undefined.
     """
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(labels)
@@ -101,9 +100,6 @@ def roc_auc(scores, labels):
     n_neg = int(np.sum(lab == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: need at least one positive and one negative")
-
-    ranks = rankdata(s)  # average ranks for ties
-    auc = (ranks[lab == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
     order = np.argsort(-s, kind="stable")
     s_desc = s[order]
@@ -117,6 +113,16 @@ def roc_auc(scores, labels):
     points[1:, 0] = s_desc[first]
     points[1:, 1] = (last + 1 - tp) / n_neg
     points[1:, 2] = tp / n_pos
+
+    if np.isnan(s_desc[-1]):  # argsort puts NaN last; it has no rank
+        auc = np.nan
+    else:
+        # a run covers ascending ranks n - last .. n - first, midrank
+        # n - (first + last) / 2; every term and partial sum is a
+        # half-integer, so the rank sum is exact in any order
+        pos_in_run = np.diff(tp, prepend=0)
+        rank_sum = pos_in_run @ (len(s) - (first + last) / 2.0)
+        auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc), points
 
 
@@ -170,29 +176,18 @@ def km_estimate(times, event) -> KMCurve:
 
     order = np.argsort(t, kind="stable")
     t = t[order]
-    e = e[order]
-    n_total = len(t)
-
-    out_t, out_s, out_n, out_d = [], [], [], []
-    s = 1.0
-    i = 0
-    removed = 0  # subjects with time strictly below the current tie group
-    while i < n_total:
-        j = i
-        d = 0
-        while j < n_total and t[j] == t[i]:
-            d += int(e[j])
-            j += 1
-        at_risk = n_total - removed
-        if d > 0:
-            s *= 1.0 - d / at_risk
-            out_t.append(float(t[i]))
-            out_s.append(s)
-            out_n.append(at_risk)
-            out_d.append(d)
-        removed += j - i
-        i = j
-    return KMCurve(tuple(out_t), tuple(out_s), tuple(out_n), tuple(out_d))
+    e = e[order].astype(np.int64)
+    # one group per run of tied times, at which len(t) - start subjects are at risk
+    starts = np.flatnonzero(np.append(True, t[1:] != t[:-1]))
+    d = np.add.reduceat(e, starts)
+    at_risk = len(t) - starts
+    steps = d > 0
+    d, at_risk = d[steps], at_risk[steps]
+    survival = np.multiply.accumulate(1.0 - d / at_risk)
+    return KMCurve(
+        tuple(t[starts[steps]].tolist()), tuple(survival.tolist()),
+        tuple(at_risk.tolist()), tuple(d.tolist()),
+    )
 
 
 def region_ratios(points, threshold: float) -> RegionRatios:
@@ -309,49 +304,50 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _pair_by_scan_id(predictions, labels):
-    by_id = {pr.scan_id: pr for pr in predictions}
-    if len(by_id) != len(predictions):
+def _rows_by_scan_id(predictions, labels) -> np.ndarray:
+    """For each label row, the index of the prediction row of its scan."""
+    row = dict(zip(predictions.scan_ids, range(len(predictions))))
+    if len(row) != len(predictions):
         raise ValueError("duplicate scan_id in predictions")
-    label_ids = {lb.scan_id for lb in labels}
+    label_ids = set(labels.scan_ids)
     if len(label_ids) != len(labels):
         raise ValueError("duplicate scan_id in labels")
-    missing = sorted(label_ids - set(by_id))
-    extra = sorted(set(by_id) - label_ids)
-    if missing or extra:
+    if label_ids != row.keys():
+        missing = sorted(label_ids - row.keys())
+        extra = sorted(row.keys() - label_ids)
         raise ValueError(
             "prediction/label scan_id mismatch: "
             f"missing={missing[:5]}{'...' if len(missing) > 5 else ''} "
             f"extra={extra[:5]}{'...' if len(extra) > 5 else ''}"
         )
-    return [by_id[lb.scan_id] for lb in labels]
+    return np.fromiter(map(row.__getitem__, labels.scan_ids), np.intp, len(labels))
 
 
 def evaluate(
-    predictions: list[Prediction],
-    labels: list[ScanLabel],
+    predictions,
+    labels,
     thresholds=(1.0, 2.0, 3.0, 4.0, 5.0),
     operating_point: float = 0.5,
-    predictions_b: list[Prediction] | None = None,
+    predictions_b=None,
 ) -> EvalReport:
     """Assemble the full evaluation report over pooled predictions.
 
-    Each labeled scan must be predicted exactly once. ``predictions_b``,
-    when given, is a second prediction set over the same scans; the two
-    are compared with McNemar's test on correctness at the probability
-    operating point.
+    ``predictions`` is a :class:`cfpt.model.PredictionTable` and ``labels``
+    a :class:`cfpt.labels.LabelTable`; rows are matched by ``scan_id``, in
+    any order, and each labeled scan must be predicted exactly once.
+    ``predictions_b``, when given, is a second prediction table over the
+    same scans; the two are compared with McNemar's test on correctness at
+    the probability operating point.
 
     The Kaplan-Meier fit treats each scan as one observation of remaining
     time to diagnosis: time ``t_d`` with event ``p``. Post-biopsy scans
     (negative ``t_d``) are not such observations and are excluded (their
     count is reported).
     """
-    preds = _pair_by_scan_id(predictions, labels)
-    y = np.array([lb.y for lb in labels])
-    p = np.array([lb.p for lb in labels])
-    t_d = np.array([lb.t_d for lb in labels])
-    y_hat = np.array([pr.y_hat for pr in preds])
-    t_pred = np.array([pr.t_pred for pr in preds])
+    matched = _rows_by_scan_id(predictions, labels)
+    y, p, t_d = labels.y, labels.p, labels.t_d
+    y_hat = predictions.y_hat[matched]
+    t_pred = predictions.t_pred[matched]
 
     auc, roc_points = roc_auc(y_hat, y)
 
@@ -370,18 +366,15 @@ def evaluate(
 
     result = None
     if predictions_b is not None:
-        preds_b = _pair_by_scan_id(predictions_b, labels)
-        y_hat_b = np.array([pr.y_hat for pr in preds_b])
+        y_hat_b = predictions_b.y_hat[_rows_by_scan_id(predictions_b, labels)]
         correct_a = ((y_hat >= operating_point).astype(int) == y).astype(int)
         correct_b = ((y_hat_b >= operating_point).astype(int) == y).astype(int)
         result = mcnemar(correct_a, correct_b)
 
-    patients = {lb.patient_id for lb in labels}
-    cancer_patients = {lb.patient_id for lb in labels if lb.p == 1}
     return EvalReport(
         n_scans=len(labels),
-        n_patients=len(patients),
-        n_cancer_patients=len(cancer_patients),
+        n_patients=len(set(labels.patient_ids)),
+        n_cancer_patients=len(set(compress(labels.patient_ids, (p == 1).tolist()))),
         n_malignant_scans=int(np.sum(y == 1)),
         auc=auc,
         roc_points=roc_points,

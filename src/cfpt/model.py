@@ -23,10 +23,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .labels import ScanLabel
+from .labels import LabelTable
 # crl, crl_grad and cel stay importable here for perfbench's tracer, which
 # wraps functions in the namespace of the module that calls them
-from .losses import LossConfig, Prediction, cel, crl, crl_grad, fused_joint_loss  # noqa: F401
+from .losses import LossConfig, cel, crl, crl_grad, fused_joint_loss  # noqa: F401
 from .metrics import roc_auc
 
 ADAM_BETA1 = 0.9
@@ -155,21 +155,24 @@ class ScanDataset:
         )
 
 
-def build_dataset(labels: list[ScanLabel], features: dict) -> ScanDataset:
-    """Assemble a :class:`ScanDataset` from labels and a scan_id -> feature
-    vector mapping; label order is preserved. Non-finite features or t_d
-    and non-binary p or y raise ValueError naming the scan."""
-    missing = [lb.scan_id for lb in labels if lb.scan_id not in features]
+def build_dataset(labels: LabelTable, features) -> ScanDataset:
+    """Join a :class:`LabelTable` to ``features``, a ``(scan_ids, matrix)``
+    pair with one matrix row per scan, by scan id; label order is
+    preserved. A labeled scan without features, non-finite features or
+    t_d, and non-binary p or y raise ValueError naming the scan."""
+    scan_ids, matrix = features
+    row = dict(zip(scan_ids, range(len(scan_ids))))
+    missing = [sid for sid in labels.scan_ids if sid not in row]
     if missing:
         raise ValueError(f"features missing for scans: {missing[:5]}")
-    mat = np.asarray([features[lb.scan_id] for lb in labels], dtype=np.float64)
+    rows = np.fromiter(map(row.__getitem__, labels.scan_ids), np.intp, len(labels))
     ds = ScanDataset(
-        [lb.scan_id for lb in labels],
-        [lb.patient_id for lb in labels],
-        mat,
-        np.array([lb.t_d for lb in labels], dtype=np.float64),
-        np.array([lb.p for lb in labels], dtype=np.int64),
-        np.array([lb.y for lb in labels], dtype=np.int64),
+        list(labels.scan_ids),
+        list(labels.patient_ids),
+        np.asarray(matrix, dtype=np.float64)[rows],
+        labels.t_d.copy(),
+        labels.p.copy(),
+        labels.y.copy(),
     )
     ds.validate()
     return ds
@@ -446,15 +449,36 @@ def train(
     return best_params, history
 
 
-def predict(params: dict, dataset: ScanDataset) -> list[Prediction]:
-    """Forward pass over every scan, in dataset order."""
-    if len(dataset) == 0:
-        return []
+@dataclass(eq=False)
+class PredictionTable:
+    """Model outputs, one row per scan, in parallel columns: the
+    malignancy probability ``y_hat``, the predicted CFPT ``t_pred`` (both
+    float64) and the test ``fold`` (int64) whose model made them."""
+
+    scan_ids: list
+    y_hat: np.ndarray
+    t_pred: np.ndarray
+    fold: np.ndarray
+
+    def __post_init__(self):
+        self.y_hat = np.asarray(self.y_hat, dtype=np.float64)
+        self.t_pred = np.asarray(self.t_pred, dtype=np.float64)
+        self.fold = np.asarray(self.fold, dtype=np.int64)
+        n = len(self.scan_ids)
+        if not len(self.y_hat) == len(self.t_pred) == len(self.fold) == n:
+            raise ValueError("PredictionTable columns must have matching lengths")
+
+    def __len__(self):
+        return len(self.scan_ids)
+
+
+def predict(params: dict, dataset: ScanDataset, fold: int) -> PredictionTable:
+    """Forward pass over every scan, in dataset order; every row gets
+    ``fold`` in its fold column."""
     y_hat, t_pred, _, _ = _forward_batch(params, dataset.features)
-    return [
-        Prediction(sid, yh, tp)
-        for sid, yh, tp in zip(dataset.scan_ids, y_hat.tolist(), t_pred.tolist())
-    ]
+    return PredictionTable(
+        list(dataset.scan_ids), y_hat, t_pred, np.full(len(dataset), fold)
+    )
 
 
 @dataclass(frozen=True)
@@ -505,8 +529,7 @@ def fold_seed(seed: int, fold: int) -> int:
 
 @dataclass
 class CrossvalResult:
-    predictions: list[Prediction]  # pooled, each scan exactly once
-    prediction_folds: list[int]  # test fold of each pooled prediction
+    predictions: PredictionTable  # pooled, each scan exactly once
     folds: list[FoldAssignment]
     histories: list[TrainHistory]
 
@@ -566,11 +589,14 @@ def run_crossval(
     else:
         trained = [_train_fold(*job) for job in jobs]
 
-    predictions: list[Prediction] = []
-    prediction_folds: list[int] = []
-    for fa, (params, _) in zip(assignments, trained):
-        preds = predict(params, dataset.subset_patients(fa.test))
-        predictions.extend(preds)
-        prediction_folds.extend([fa.fold] * len(preds))
+    tables = [
+        predict(params, dataset.subset_patients(fa.test), fa.fold)
+        for fa, (params, _) in zip(assignments, trained)
+    ]
+    predictions = PredictionTable(
+        [sid for table in tables for sid in table.scan_ids],
+        *(np.concatenate([getattr(table, name) for table in tables])
+          for name in ("y_hat", "t_pred", "fold")),
+    )
     histories = [history for _, history in trained]
-    return CrossvalResult(predictions, prediction_folds, assignments, histories)
+    return CrossvalResult(predictions, assignments, histories)

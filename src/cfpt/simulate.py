@@ -86,11 +86,12 @@ def _risk_direction(dim: int) -> np.ndarray:
 def generate_cohort(cfg: CohortConfig):
     """Draw one cohort; returns (records, features, onsets).
 
-    ``records`` is a list of :class:`PatientRecord`, ``features`` maps
-    scan_id to its feature vector (baseline ``x`` plus the progression
-    channel, so ``feature_dim + 1`` entries), and ``onsets`` maps
-    patient_id to the latent onset time (ground truth, evaluation only).
-    Output is a pure function of the config, including its seed.
+    ``records`` is a list of :class:`PatientRecord`, ``features`` the pair
+    ``(scan_ids, matrix)``: every scan id in record order and one matrix
+    row per scan (baseline ``x`` plus the progression channel, so
+    ``feature_dim + 1`` columns), and ``onsets`` maps patient_id to the
+    latent onset time (ground truth, evaluation only). Output is a pure
+    function of the config, including its seed.
     """
     rng = np.random.default_rng(cfg.seed)
     w = _risk_direction(cfg.feature_dim)
@@ -98,7 +99,8 @@ def generate_cohort(cfg: CohortConfig):
     width = len(str(cfg.n_patients - 1))
 
     records = []
-    features = {}
+    scan_ids = []
+    blocks = []
     onsets = {}
     for i in range(cfg.n_patients):
         pid = f"p{i:0{width}d}"
@@ -120,11 +122,13 @@ def generate_cohort(cfg: CohortConfig):
                 break
 
         noise = rng.normal(0.0, cfg.noise_sd, size=len(scan_times))
-        scan_ids = tuple(f"{pid}-s{k}" for k in range(len(scan_times)))
-        for k, (sid, t) in enumerate(zip(scan_ids, scan_times)):
-            ramp = max(0.0, 1.0 - (t_onset - t) / cfg.study_horizon)
-            channel = cfg.progression_gain * ramp + noise[k]
-            features[sid] = np.concatenate([x, [channel]])
+        ids = tuple(f"{pid}-s{k}" for k in range(len(scan_times)))
+        ramp = np.maximum(0.0, 1.0 - (t_onset - np.array(scan_times)) / cfg.study_horizon)
+        block = np.empty((len(scan_times), cfg.feature_dim + 1))
+        block[:, :-1] = x
+        block[:, -1] = cfg.progression_gain * ramp + noise
+        blocks.append(block)
+        scan_ids.extend(ids)
 
         records.append(
             PatientRecord(
@@ -132,11 +136,11 @@ def generate_cohort(cfg: CohortConfig):
                 scan_times=tuple(scan_times),
                 is_cancer=diagnosis is not None,
                 diagnosis_time=diagnosis,
-                scan_ids=scan_ids,
+                scan_ids=ids,
             )
         )
         onsets[pid] = t_onset
-    return records, features, onsets
+    return records, (scan_ids, np.concatenate(blocks)), onsets
 
 
 def cohort_summary(records) -> CohortSummary:
@@ -145,7 +149,6 @@ def cohort_summary(records) -> CohortSummary:
         raise ValueError("cohort_summary of an empty cohort is undefined")
     n_scans = 0
     n_cancer = 0
-    n_malignant = 0
     per_patient = {}
     for rec in records:
         k = len(rec.scan_times)
@@ -153,12 +156,11 @@ def cohort_summary(records) -> CohortSummary:
         per_patient[k] = per_patient.get(k, 0) + 1
         if rec.is_cancer:
             n_cancer += 1
-        n_malignant += sum(lb.y for lb in derive_scan_labels(rec))
     return CohortSummary(
         n_patients=len(records),
         n_scans=n_scans,
         n_cancer_patients=n_cancer,
-        n_malignant_scans=n_malignant,
+        n_malignant_scans=int(derive_scan_labels(records).y.sum()),
         censored_fraction=(len(records) - n_cancer) / len(records),
         scans_per_patient=dict(sorted(per_patient.items())),
     )

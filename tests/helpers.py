@@ -144,20 +144,20 @@ def random_network_instance(rng, n=5, input_dim=4, hidden=(6, 5)):
 
 
 def check_label_invariants(rec, labels):
-    """All labels-module invariants for one record (plain asserts)."""
+    """All labels-module invariants for one record's label table (plain asserts)."""
     assert len(labels) == len(rec.scan_times)
-    assert [lb.patient_id for lb in labels] == [rec.patient_id] * len(labels)
-    for lb in labels:
-        assert lb.right_censored == (lb.p == 0)
-        if lb.p == 0:
-            assert lb.y == 0
-            assert lb.t_d >= 1.0
+    assert labels.patient_ids == [rec.patient_id] * len(labels)
+    t_d, p, y = labels.t_d.tolist(), labels.p.tolist(), labels.y.tolist()
+    for k in range(len(labels)):
+        assert labels.right_censored[k] == (p[k] == 0)
+        if p[k] == 0:
+            assert y[k] == 0
+            assert t_d[k] >= 1.0
 
     if not rec.is_cancer:
-        t_ds = [lb.t_d for lb in labels]
-        assert min(t_ds) == 1.0
+        assert min(t_d) == 1.0
         for (ta, tb), (sa, sb) in zip(
-            zip(t_ds, t_ds[1:]), zip(rec.scan_times, rec.scan_times[1:])
+            zip(t_d, t_d[1:]), zip(rec.scan_times, rec.scan_times[1:])
         ):
             # consecutive differences mirror the scan spacing
             assert abs((ta - tb) - (sb - sa)) <= 1e-12
@@ -167,9 +167,18 @@ def check_label_invariants(rec, labels):
         expected_pos = {k for k, t in enumerate(rec.scan_times) if t > b}
         if pre:
             expected_pos.add(max(pre))
-        assert {k for k, lb in enumerate(labels) if lb.y == 1} == expected_pos
-        for lb, t in zip(labels, rec.scan_times):
-            assert (lb.t_d < 0) == (t > b)
+        assert {k for k, yk in enumerate(y) if yk == 1} == expected_pos
+        for tk, t in zip(t_d, rec.scan_times):
+            assert (tk < 0) == (t > b)
+
+
+def table_columns(table):
+    """Every column of a label or prediction table, for exact comparison:
+    id lists as they are, arrays as dtype and bytes."""
+    return [
+        col if isinstance(col, list) else (col.dtype.str, col.tobytes())
+        for col in vars(table).values()
+    ]
 
 
 def random_censored_sample(rng, max_n=50):

@@ -206,15 +206,15 @@ def test_4_label_conformance(capsys):
     ]
     ok = True
     for rec, t_ds, ps, ys in cases:
-        labels = derive_scan_labels(rec)
-        ok = ok and [lb.t_d for lb in labels] == t_ds
-        ok = ok and [lb.p for lb in labels] == ps
-        ok = ok and [lb.y for lb in labels] == ys
+        labels = derive_scan_labels([rec])
+        ok = ok and labels.t_d.tolist() == t_ds
+        ok = ok and labels.p.tolist() == ps
+        ok = ok and labels.y.tolist() == ys
 
     rng = np.random.default_rng(1004)
     for _ in range(1_000):
         rec = random_patient_record(rng)
-        check_label_invariants(rec, derive_scan_labels(rec))
+        check_label_invariants(rec, derive_scan_labels([rec]))
 
     _report(capsys, "4 labels", ok, "4 worked examples, 1000 random records")
 
@@ -318,16 +318,16 @@ def test_8_directional_multitask(capsys):
     mcnemar_p = None
     for seed in range(5):
         records, features, _ = generate_cohort(reference_cohort_config(seed))
-        labels = [lb for rec in records for lb in derive_scan_labels(rec)]
+        labels = derive_scan_labels(records)
         ds = build_dataset(labels, features)
-        y = np.array([lb.y for lb in labels])
+        y = labels.y
         preds = {}
         for name, lam in (("multi", 0.5), ("single", 0.0)):
             mcfg = ModelConfig(input_dim=ds.input_dim, hidden_dims=(64, 64), seed=0)
             tcfg = TrainConfig(loss=LossConfig(lam=lam, epsilon=1.0), seed=0)
             preds[name] = run_crossval(ds, mcfg, tcfg, k=5).predictions
-            score = {pr.scan_id: pr.y_hat for pr in preds[name]}
-            auc, _ = roc_auc(np.array([score[lb.scan_id] for lb in labels]), y)
+            score = dict(zip(preds[name].scan_ids, preds[name].y_hat.tolist()))
+            auc, _ = roc_auc(np.array([score[sid] for sid in labels.scan_ids]), y)
             aucs[name].append(auc)
         if seed == 0:
             report = evaluate(preds["multi"], labels, predictions_b=preds["single"])

@@ -1,11 +1,14 @@
-"""The training loop's unchecked fast path against the checked definitions.
+"""The training loop's unchecked fast path, and the vectorised metrics,
+against the definitions and loops they replaced.
 
 Every comparison here is exact (bytes or ``==``), not a tolerance: the fast
 path performs the same floating-point operations in the same order as the
-reference it replaces, so any difference is a change of behaviour.
+reference it replaces, or exact ones, so any difference is a change of
+behaviour.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from cfpt.cli import (
     build_experiment_config,
@@ -24,7 +28,7 @@ from cfpt.cli import (
     main,
 )
 from cfpt.losses import LossConfig, cel, crl, crl_grad, fused_joint_loss
-from cfpt.metrics import roc_auc
+from cfpt.metrics import km_estimate, roc_auc
 from cfpt.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -160,6 +164,88 @@ def test_vectorised_roc_points_equal_loop():
         assert points.tolist() == expected
         # == on floats says 0.0 == -0.0; the thresholds must match in sign too
         assert points.tobytes() == np.array(expected).tobytes()
+
+
+def _auc_reference(scores, labels):
+    """The midrank AUC from scipy's rankdata, as computed before the AUC
+    came from the ROC curve's tie runs."""
+    s = np.asarray(scores, dtype=np.float64)
+    lab = np.asarray(labels)
+    n_pos = int(np.sum(lab == 1))
+    n_neg = int(np.sum(lab == 0))
+    ranks = rankdata(s)
+    return float((ranks[lab == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def test_auc_from_tie_runs_equals_rankdata():
+    rng = np.random.default_rng(55)
+    cases = [
+        ([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]),
+        ([0.0, -0.0, 1.0, -0.0, 0.0], [1, 0, 1, 0, 0]),  # signed zeros tie
+        ([0.3, np.nan, 0.7], [1, 0, 0]),  # NaN has no rank: the AUC is NaN
+    ]
+    for _ in range(1_500):
+        n = int(rng.integers(2, 400))
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        grid = int(rng.integers(1, 12))
+        scores = rng.integers(0, grid, n) / grid if rng.uniform() < 0.7 else rng.normal(size=n)
+        scores[rng.uniform(size=n) < 0.1] *= -1.0  # signed zeros among the ties
+        cases.append((scores, labels))
+    for scores, labels in cases:
+        got, _ = roc_auc(scores, labels)
+        expected = _auc_reference(scores, labels)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def _km_reference(times, event):
+    """The tie-group loop km_estimate ran before it was vectorised."""
+    order = np.argsort(np.asarray(times, dtype=np.float64), kind="stable")
+    t = np.asarray(times, dtype=np.float64)[order]
+    e = np.asarray(event)[order]
+    out_t, out_s, out_n, out_d = [], [], [], []
+    s = 1.0
+    i = 0
+    removed = 0
+    while i < len(t):
+        j = i
+        d = 0
+        while j < len(t) and t[j] == t[i]:
+            d += int(e[j])
+            j += 1
+        at_risk = len(t) - removed
+        if d > 0:
+            s *= 1.0 - d / at_risk
+            out_t.append(float(t[i]))
+            out_s.append(s)
+            out_n.append(at_risk)
+            out_d.append(d)
+        removed += j - i
+        i = j
+    return tuple(out_t), tuple(out_s), tuple(out_n), tuple(out_d)
+
+
+def test_vectorised_km_equals_loop():
+    rng = np.random.default_rng(56)
+    cases = [([0.0, -0.0, 0.0, 1.0], [1, 1, 0, 1]), ([2.0, 2.0], [0, 0]), ([3.0], [True])]
+    for i in range(1_000):
+        n = int(rng.integers(1, 300))
+        grid = int(rng.integers(1, 20))
+        times = rng.integers(0, grid, n) / 4.0 if rng.uniform() < 0.7 else rng.exponential(size=n)
+        event = rng.integers(0, 2, n)
+        cases.append((times, event.astype([int, bool, float][i % 3])))
+    for times, event in cases:
+        km = km_estimate(times, event)
+        expected = _km_reference(times, event)
+        got = (km.times, km.survival, km.n_at_risk, km.n_events)
+        assert got == expected
+        assert all(type(v) is float for v in km.times + km.survival)
+        assert all(type(v) is int for v in km.n_at_risk + km.n_events)
+        assert np.array(km.times).tobytes() == np.array(expected[0]).tobytes()
+        assert np.array(km.survival).tobytes() == np.array(expected[1]).tobytes()
 
 
 # sha256 of every file a small synth -> label -> crossval -> eval -> km

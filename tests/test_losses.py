@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cfpt.labels import ScanLabel
 from cfpt.losses import (
     LossConfig,
-    Prediction,
-    batch_loss,
     cel,
     cel_grad_logit,
     crl,
     crl_grad,
-    joint_loss,
+    fused_joint_loss,
 )
+from cfpt.model import _batch_loss
 from helpers import central_diff, crl_kink_distance, crl_oracle
 from scipy.special import expit
 
@@ -182,12 +180,18 @@ def test_cel_grad_logit_matches_finite_differences():
         assert cel_grad_logit(logit, y) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def _joint_loss(y_hat, t_pred, t_d, p, y, cfg):
+    """Per-scan joint loss of one scan, as a float."""
+    loss, _ = fused_joint_loss(
+        np.array([y_hat]), np.array([t_pred]), np.array([t_d]), np.array([p]), np.array([y]), cfg
+    )
+    return float(loss[0])
+
+
 def test_joint_loss_combination():
     cfg = LossConfig(lam=0.5, epsilon=1.0)
-    pred = Prediction("s", 0.5, 3.0)
-    label = ScanLabel("s", "p", 2.0, 1, 1, False)
     # crl part 4, cel part -log(0.5)
-    assert joint_loss(pred, label, cfg) == pytest.approx(
+    assert _joint_loss(0.5, 3.0, 2.0, 1, 1, cfg) == pytest.approx(
         0.5 * 4.0 + (-math.log(0.5)), abs=1e-12
     )
 
@@ -196,51 +200,41 @@ def test_joint_loss_lambda_zero_reduces_to_cel():
     cfg = LossConfig(lam=0.0)
     rng = np.random.default_rng(13)
     for _ in range(100):
-        pred = Prediction("s", float(rng.uniform(0.01, 0.99)), float(rng.uniform(-5, 10)))
-        label = ScanLabel("s", "p", float(rng.uniform(-5, 10)), int(rng.integers(0, 2)), 1, False)
-        assert joint_loss(pred, label, cfg) == cel(pred.y_hat, label.y)
+        y_hat, t_pred = float(rng.uniform(0.01, 0.99)), float(rng.uniform(-5, 10))
+        t_d, p = float(rng.uniform(-5, 10)), int(rng.integers(0, 2))
+        assert _joint_loss(y_hat, t_pred, t_d, p, 1, cfg) == cel(y_hat, 1)
 
 
 def test_joint_loss_zero_case():
     cfg = LossConfig(lam=0.5, epsilon=1.0)
-    pred = Prediction("s", 1.0, 5.0)
-    label = ScanLabel("s", "p", 3.0, 0, 1, True)
-    assert joint_loss(pred, label, cfg) == pytest.approx(0.0, abs=1e-6)
+    assert _joint_loss(1.0, 5.0, 3.0, 0, 1, cfg) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_batch_loss_is_mean_and_permutation_invariant():
+    # the training loop's batch loss: the mean of the per-scan joint losses
     cfg = LossConfig()
-    preds = [Prediction(f"s{i}", 0.3 + 0.1 * i, float(i)) for i in range(4)]
-    labels = [ScanLabel(f"s{i}", "p", float(i % 3), i % 2, i % 2, i % 2 == 0) for i in range(4)]
-    single = [joint_loss(pr, lb, cfg) for pr, lb in zip(preds, labels)]
-    assert batch_loss(preds, labels, cfg) == pytest.approx(np.mean(single), abs=1e-12)
-    assert batch_loss(preds[:1], labels[:1], cfg) == pytest.approx(single[0], abs=1e-15)
+    y_hat = np.array([0.3 + 0.1 * i for i in range(4)])
+    t_pred = np.arange(4.0)
+    t_d = np.array([float(i % 3) for i in range(4)])
+    p = y = np.array([i % 2 for i in range(4)])
+    single = [_joint_loss(*cols, cfg) for cols in zip(y_hat, t_pred, t_d, p, y)]
+    batch, _ = _batch_loss(y_hat, t_pred, t_d, p, y, cfg)
+    assert batch == pytest.approx(np.mean(single), abs=1e-12)
+    one, _ = _batch_loss(y_hat[:1], t_pred[:1], t_d[:1], p[:1], y[:1], cfg)
+    assert one == pytest.approx(single[0], abs=1e-15)
     perm = [2, 0, 3, 1]
-    assert batch_loss([preds[i] for i in perm], [labels[i] for i in perm], cfg) == \
-        pytest.approx(batch_loss(preds, labels, cfg), abs=1e-12)
+    permuted, _ = _batch_loss(y_hat[perm], t_pred[perm], t_d[perm], p[perm], y[perm], cfg)
+    assert permuted == pytest.approx(batch, abs=1e-12)
 
 
 def test_batch_loss_two_elements_mean():
     cfg = LossConfig(lam=1.0, epsilon=1.0)
-    # construct elements with joint losses 2 and 4: use cel(0.5,1)=log 2 trick? simpler:
-    # crl=2 via (t_pred-t_d+eps)^2 = 2, cel contributes; just verify the mean directly
-    preds = [Prediction("a", 0.5, 1.0 + math.sqrt(2.0)), Prediction("b", 0.5, 3.0)]
-    labels = [ScanLabel("a", "p", 2.0, 1, 1, False), ScanLabel("b", "p", 2.0, 1, 1, False)]
-    la = joint_loss(preds[0], labels[0], cfg)
-    lb = joint_loss(preds[1], labels[1], cfg)
-    assert batch_loss(preds, labels, cfg) == pytest.approx((la + lb) / 2, abs=1e-12)
-
-
-def test_batch_loss_errors():
-    cfg = LossConfig()
-    pred = Prediction("a", 0.5, 1.0)
-    label = ScanLabel("b", "p", 1.0, 1, 1, False)
-    with pytest.raises(ValueError):
-        batch_loss([], [], cfg)
-    with pytest.raises(ValueError):
-        batch_loss([pred], [], cfg)
-    with pytest.raises(ValueError):
-        batch_loss([pred], [label], cfg)  # scan_id mismatch
+    y_hat, t_pred = np.array([0.5, 0.5]), np.array([1.0 + math.sqrt(2.0), 3.0])
+    t_d, p, y = np.array([2.0, 2.0]), np.array([1, 1]), np.array([1, 1])
+    la = _joint_loss(y_hat[0], t_pred[0], t_d[0], p[0], y[0], cfg)
+    lb = _joint_loss(y_hat[1], t_pred[1], t_d[1], p[1], y[1], cfg)
+    batch, _ = _batch_loss(y_hat, t_pred, t_d, p, y, cfg)
+    assert batch == pytest.approx((la + lb) / 2, abs=1e-12)
 
 
 def test_loss_config_validation():

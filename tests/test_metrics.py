@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cfpt.labels import ScanLabel
-from cfpt.losses import Prediction
+from cfpt.labels import LabelTable
 from cfpt.metrics import (
     evaluate,
     km_estimate,
@@ -11,6 +10,7 @@ from cfpt.metrics import (
     roc_auc,
     threshold_table,
 )
+from cfpt.model import PredictionTable
 from helpers import (
     auc_pairwise_oracle,
     binomial_two_sided_oracle,
@@ -318,20 +318,27 @@ def test_threshold_table_rejects_empty():
 
 def _toy_labels():
     # two cancer patients (pre-biopsy scans plus one post-biopsy), two controls
-    return [
-        ScanLabel("a-s0", "a", 3.0, 1, 0, False),
-        ScanLabel("a-s1", "a", 1.0, 1, 1, False),
-        ScanLabel("a-s2", "a", -1.0, 1, 1, False),
-        ScanLabel("b-s0", "b", 2.0, 1, 1, False),
-        ScanLabel("c-s0", "c", 3.0, 0, 0, True),
-        ScanLabel("c-s1", "c", 2.0, 0, 0, True),
-        ScanLabel("c-s2", "c", 1.0, 0, 0, True),
-        ScanLabel("d-s0", "d", 1.0, 0, 0, True),
-    ]
+    return LabelTable(
+        ["a-s0", "a-s1", "a-s2", "b-s0", "c-s0", "c-s1", "c-s2", "d-s0"],
+        ["a", "a", "a", "b", "c", "c", "c", "d"],
+        t_d=[3.0, 1.0, -1.0, 2.0, 3.0, 2.0, 1.0, 1.0],
+        p=[1, 1, 1, 1, 0, 0, 0, 0],
+        y=[0, 1, 1, 1, 0, 0, 0, 0],
+        right_censored=[False] * 4 + [True] * 4,
+    )
 
 
 def _perfect_predictions(labels):
-    return [Prediction(lb.scan_id, float(lb.y), max(lb.t_d, 0.0)) for lb in labels]
+    return PredictionTable(labels.scan_ids, labels.y, np.maximum(labels.t_d, 0.0),
+                           np.zeros(len(labels)))
+
+
+def _rows(table, order):
+    """The rows of a label or prediction table in the given order."""
+    return type(table)(**{
+        name: [col[i] for i in order] if isinstance(col, list) else col[order]
+        for name, col in vars(table).items()
+    })
 
 
 def test_evaluate_perfect_predictor():
@@ -353,9 +360,8 @@ def test_evaluate_perfect_predictor():
 def test_evaluate_km_composition():
     labels = _toy_labels()
     report = evaluate(_perfect_predictions(labels), labels)
-    t_d = [lb.t_d for lb in labels if lb.t_d >= 0]
-    p = [lb.p for lb in labels if lb.t_d >= 0]
-    expected = km_estimate(t_d, p)
+    kept = labels.t_d >= 0
+    expected = km_estimate(labels.t_d[kept], labels.p[kept])
     assert report.km == expected
 
 
@@ -363,10 +369,8 @@ def test_evaluate_mcnemar_swap_symmetry():
     labels = _toy_labels()
     preds_a = _perfect_predictions(labels)
     rng = np.random.default_rng(28)
-    preds_b = [
-        Prediction(lb.scan_id, float(rng.uniform()), float(rng.uniform(0, 5)))
-        for lb in labels
-    ]
+    preds_b = PredictionTable(labels.scan_ids, rng.uniform(size=len(labels)),
+                              rng.uniform(0, 5, size=len(labels)), np.zeros(len(labels)))
     rep_ab = evaluate(preds_a, labels, predictions_b=preds_b)
     rep_ba = evaluate(preds_b, labels, predictions_b=preds_a)
     m_ab, m_ba = rep_ab.mcnemar_result, rep_ba.mcnemar_result
@@ -380,7 +384,7 @@ def test_evaluate_reorder_invariance():
     rng = np.random.default_rng(29)
     perm = rng.permutation(len(labels))
     rep_1 = evaluate(preds, labels)
-    rep_2 = evaluate([preds[i] for i in perm], [labels[i] for i in perm])
+    rep_2 = evaluate(_rows(preds, perm), _rows(labels, perm))
     assert rep_1.auc == rep_2.auc
     assert rep_1.km == rep_2.km
     assert rep_1.threshold_rows == rep_2.threshold_rows
@@ -388,15 +392,38 @@ def test_evaluate_reorder_invariance():
     assert rep_1.n_malignant_scans == rep_2.n_malignant_scans
 
 
+def test_evaluate_same_report_for_shuffled_predictions():
+    labels = _toy_labels()
+    rng = np.random.default_rng(30)
+    preds = PredictionTable(labels.scan_ids, rng.uniform(size=len(labels)),
+                            rng.uniform(0, 5, size=len(labels)), np.zeros(len(labels)))
+    preds_b = PredictionTable(labels.scan_ids, rng.uniform(size=len(labels)),
+                              rng.uniform(0, 5, size=len(labels)), np.zeros(len(labels)))
+    report = evaluate(preds, labels, predictions_b=preds_b)
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(len(labels))
+        shuffled = evaluate(_rows(preds, perm), labels,
+                            predictions_b=_rows(preds_b, perm[::-1]))
+        assert shuffled.to_text() == report.to_text()
+        assert shuffled.roc_points.tobytes() == report.roc_points.tobytes()
+        assert shuffled.cancer_points.tobytes() == report.cancer_points.tobytes()
+        assert shuffled.noncancer_points.tobytes() == report.noncancer_points.tobytes()
+
+
 def test_evaluate_rejects_mismatched_ids():
     labels = _toy_labels()
     preds = _perfect_predictions(labels)
-    with pytest.raises(ValueError):
-        evaluate(preds[:-1], labels)
-    with pytest.raises(ValueError):
-        evaluate(preds + [Prediction("zzz", 0.5, 1.0)], labels)
-    with pytest.raises(ValueError):
-        evaluate([preds[0]] + preds[1:-1] + [preds[0]], labels)
+    n = len(labels)
+    with pytest.raises(ValueError, match=r"missing=\['d-s0'\] extra=\[\]"):
+        evaluate(_rows(preds, np.arange(n - 1)), labels)
+    extra = PredictionTable(preds.scan_ids + ["zzz"], np.append(preds.y_hat, 0.5),
+                            np.append(preds.t_pred, 1.0), np.zeros(n + 1))
+    with pytest.raises(ValueError, match=r"missing=\[\] extra=\['zzz'\]"):
+        evaluate(extra, labels)
+    with pytest.raises(ValueError, match="duplicate scan_id in predictions"):
+        evaluate(_rows(preds, [0, *range(1, n - 1), 0]), labels)
+    with pytest.raises(ValueError, match="duplicate scan_id in labels"):
+        evaluate(preds, _rows(labels, [0, *range(1, n - 1), 0]))
 
 
 def test_evaluate_to_text_sections():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfpt.labels import ScanLabel
+from cfpt.labels import LabelTable
 from cfpt.losses import LossConfig
 from cfpt.model import (
     ADAM_EPS,
@@ -353,14 +353,17 @@ def test_train_single_class_validation_gets_nan_auc():
 def test_predict_matches_forward_and_is_pure():
     tr, _ = _toy_split()
     params = init_params(ModelConfig(input_dim=2, hidden_dims=(4,), seed=9))
-    preds = predict(params, tr)
-    assert [pr.scan_id for pr in preds] == tr.scan_ids
+    preds = predict(params, tr, 3)
+    assert preds.scan_ids == tr.scan_ids
+    assert preds.fold.tolist() == [3] * len(tr)
     for i in (0, len(tr) // 2, len(tr) - 1):
         y_hat, t_pred = forward(params, tr.features[i])
-        assert preds[i].y_hat == pytest.approx(y_hat, abs=1e-15)
-        assert preds[i].t_pred == pytest.approx(t_pred, abs=1e-15)
-    assert predict(params, tr.subset([])) == []
-    assert predict(params, tr) == preds
+        assert preds.y_hat[i] == pytest.approx(y_hat, abs=1e-15)
+        assert preds.t_pred[i] == pytest.approx(t_pred, abs=1e-15)
+    assert len(predict(params, tr.subset([]), 0)) == 0
+    again = predict(params, tr, 3)
+    assert again.y_hat.tobytes() == preds.y_hat.tobytes()
+    assert again.t_pred.tobytes() == preds.t_pred.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +420,14 @@ def test_run_crossval_pools_each_scan_once():
     mcfg = ModelConfig(input_dim=2, hidden_dims=(4,), seed=2)
     tcfg = _fast_tcfg(max_epochs=3)
     res = run_crossval(ds, mcfg, tcfg, k=3)
-    assert sorted(pr.scan_id for pr in res.predictions) == sorted(ds.scan_ids)
+    assert sorted(res.predictions.scan_ids) == sorted(ds.scan_ids)
     assert len(res.predictions) == len(ds)
     assert len(res.histories) == 3
-    assert len(res.prediction_folds) == len(res.predictions)
     # every prediction's patient must sit in its fold's test set
     by_scan = dict(zip(ds.scan_ids, ds.patient_ids))
-    for pr, f in zip(res.predictions, res.prediction_folds):
+    for sid, f in zip(res.predictions.scan_ids, res.predictions.fold.tolist()):
         fa = res.folds[f]
-        pid = by_scan[pr.scan_id]
+        pid = by_scan[sid]
         assert pid in fa.test
         assert pid not in fa.train and pid not in fa.val
 
@@ -437,26 +439,32 @@ def test_run_crossval_deterministic():
     tcfg = _fast_tcfg(max_epochs=2)
     r1 = run_crossval(ds, mcfg, tcfg, k=3)
     r2 = run_crossval(ds, mcfg, tcfg, k=3)
-    assert r1.predictions == r2.predictions
+    assert r1.predictions.scan_ids == r2.predictions.scan_ids
+    for name in ("y_hat", "t_pred", "fold"):
+        assert getattr(r1.predictions, name).tobytes() == getattr(r2.predictions, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
 # dataset assembly
 
 
+def _two_labels():
+    return LabelTable(["s1", "s2"], ["a", "b"], [2.0, 1.0], [1, 0], [1, 0], [False, True])
+
+
 def test_build_dataset_and_missing_features():
-    labels = [
-        ScanLabel("s1", "a", 2.0, 1, 1, False),
-        ScanLabel("s2", "b", 1.0, 0, 0, True),
-    ]
-    feats = {"s1": np.array([1.0, 2.0]), "s2": np.array([3.0, 4.0])}
+    labels = _two_labels()
+    # features in another order than the labels, with an unlabeled scan:
+    # joined by scan id
+    feats = (["s2", "s0", "s1"], np.array([[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]]))
     ds = build_dataset(labels, feats)
     assert ds.scan_ids == ["s1", "s2"]
     assert ds.input_dim == 2
     assert ds.patients() == ["a", "b"]
-    assert np.array_equal(ds.features[1], [3.0, 4.0])
-    with pytest.raises(ValueError):
-        build_dataset(labels, {"s1": np.array([1.0, 2.0])})
+    assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+    assert ds.t_d.tolist() == [2.0, 1.0] and ds.p.tolist() == [1, 0] and ds.y.tolist() == [1, 0]
+    with pytest.raises(ValueError, match=r"features missing for scans: \['s2'\]"):
+        build_dataset(labels, (["s1"], np.array([[1.0, 2.0]])))
 
 
 @pytest.mark.parametrize(
@@ -470,12 +478,12 @@ def test_build_dataset_and_missing_features():
     ],
 )
 def test_build_dataset_rejects_bad_values(column, value, match):
-    labels = [ScanLabel("s1", "a", 2.0, 1, 1, False), ScanLabel("s2", "b", 1.0, 0, 0, True)]
-    feats = {"s1": np.array([1.0, 2.0]), "s2": np.array([3.0, 4.0])}
+    labels = _two_labels()
+    feats = (["s1", "s2"], np.array([[1.0, 2.0], [3.0, 4.0]]))
     if column == "features":
-        feats["s2"] = np.array([3.0, value])
+        feats[1][1, 1] = value
     else:
-        labels[1] = replace(labels[1], **{column: value})
+        getattr(labels, column)[1] = value
     with pytest.raises(ValueError, match=match):
         build_dataset(labels, feats)
 

@@ -40,11 +40,11 @@ def test_config_validation():
 
 
 def test_schedule_without_dropout():
-    records, features, _ = generate_cohort(_small_cfg(dropout_prob=0.0))
+    records, (scan_ids, features), _ = generate_cohort(_small_cfg(dropout_prob=0.0))
     for rec in records:
         assert rec.scan_times == tuple(float(k) for k in range(7))
         assert len(rec.scan_ids) == 7
-    assert len(features) == 7 * 200
+    assert len(scan_ids) == len(features) == 7 * 200
 
 
 def test_schedule_respects_interval_and_horizon():
@@ -61,21 +61,17 @@ def test_generate_deterministic():
     r2, f2, o2 = generate_cohort(cfg)
     assert r1 == r2
     assert o1 == o2
-    assert set(f1) == set(f2)
-    for sid in f1:
-        assert np.array_equal(f1[sid], f2[sid])
+    assert f1[0] == f2[0]
+    assert f1[1].tobytes() == f2[1].tobytes()
     r3, _, _ = generate_cohort(_small_cfg(seed=124))
     assert r3 != r1
 
 
 def test_feature_table_matches_scan_ids():
-    records, features, onsets = generate_cohort(_small_cfg())
-    all_ids = [sid for rec in records for sid in rec.scan_ids]
-    assert sorted(all_ids) == sorted(features)
+    records, (scan_ids, features), onsets = generate_cohort(_small_cfg())
+    assert scan_ids == [sid for rec in records for sid in rec.scan_ids]
     assert sorted(onsets) == sorted(rec.patient_id for rec in records)
-    dim = _small_cfg().feature_dim
-    for sid in all_ids:
-        assert features[sid].shape == (dim + 1,)
+    assert features.shape == (len(scan_ids), _small_cfg().feature_dim + 1)
 
 
 def test_diagnosis_is_first_scan_at_or_after_onset():
@@ -101,32 +97,24 @@ def test_generator_output_valid_for_label_derivation():
     records, _, _ = generate_cohort(_small_cfg(n_patients=300, seed=9))
     for rec in records:
         assert validate_record(rec) == []
-        labels = derive_scan_labels(rec)
+        labels = derive_scan_labels([rec])
         assert len(labels) == len(rec.scan_times)
 
 
 def test_progression_channel_carries_signal():
-    records, features, _ = generate_cohort(_small_cfg(n_patients=500, seed=2))
-    channel, y = [], []
-    for rec in records:
-        for lb in derive_scan_labels(rec):
-            channel.append(features[lb.scan_id][-1])
-            y.append(lb.y)
-    auc, _ = roc_auc(channel, y)
+    records, (_, features), _ = generate_cohort(_small_cfg(n_patients=500, seed=2))
+    # features and labels are both in record order
+    auc, _ = roc_auc(features[:, -1], derive_scan_labels(records).y)
     assert auc > 0.75
 
 
 def test_null_cohort_has_no_signal():
     cfg = _small_cfg(n_patients=600, risk_coeff=0.0, progression_gain=0.0, seed=3)
-    records, features, _ = generate_cohort(cfg)
-    channel, risk, y = [], [], []
+    records, (_, features), _ = generate_cohort(cfg)
     w = np.ones(cfg.feature_dim) / np.sqrt(cfg.feature_dim)
-    for rec in records:
-        for lb in derive_scan_labels(rec):
-            x = features[lb.scan_id]
-            channel.append(x[-1])
-            risk.append(float(w @ x[: cfg.feature_dim]))
-            y.append(lb.y)
+    channel = features[:, -1]
+    risk = features[:, : cfg.feature_dim] @ w
+    y = derive_scan_labels(records).y
     auc_channel, _ = roc_auc(channel, y)
     auc_risk, _ = roc_auc(risk, y)
     assert abs(auc_channel - 0.5) < 0.06
@@ -138,8 +126,7 @@ def test_null_cohort_trained_classifier_near_chance():
 
     cfg = _small_cfg(n_patients=300, risk_coeff=0.0, progression_gain=0.0, seed=4)
     records, features, _ = generate_cohort(cfg)
-    labels = [lb for rec in records for lb in derive_scan_labels(rec)]
-    ds = build_dataset(labels, features)
+    ds = build_dataset(derive_scan_labels(records), features)
     pats = ds.patients()
     tr = ds.subset_patients(pats[:180])
     va = ds.subset_patients(pats[180:240])
@@ -150,8 +137,8 @@ def test_null_cohort_trained_classifier_near_chance():
         ModelConfig(input_dim=ds.input_dim, hidden_dims=(8,), seed=0),
         TrainConfig(max_epochs=10, lr0=1e-3, lr_decay_epochs=(), seed=0),
     )
-    preds = predict(params, te)
-    auc, _ = roc_auc([pr.y_hat for pr in preds], te.y)
+    preds = predict(params, te, 0)
+    auc, _ = roc_auc(preds.y_hat, te.y)
     assert 0.35 < auc < 0.65
 
 
@@ -159,13 +146,14 @@ def test_risk_coupling_monotone_in_risk_coeff():
     corrs = []
     for coeff in (0.0, 0.5, 1.0):
         cfg = _small_cfg(n_patients=800, risk_coeff=coeff, seed=6)
-        records, features, onsets = generate_cohort(cfg)
+        records, (scan_ids, features), onsets = generate_cohort(cfg)
+        row = {sid: i for i, sid in enumerate(scan_ids)}
         w = np.ones(cfg.feature_dim) / np.sqrt(cfg.feature_dim)
         risk, onset = [], []
         for rec in records:
             if not rec.is_cancer:
                 continue
-            x = features[rec.scan_ids[0]][: cfg.feature_dim]
+            x = features[row[rec.scan_ids[0]], : cfg.feature_dim]
             risk.append(float(w @ x))
             onset.append(onsets[rec.patient_id])
         corrs.append(float(spearmanr(risk, onset).statistic))
