@@ -26,10 +26,13 @@ from cfpt import (
 )
 
 # --- 1. a small synthetic screening cohort ---------------------------------
+# The cohort is one PatientTable: a row per scan (patient id, is_cancer,
+# diagnosis time, scan id, scan time), each patient's outcome repeated on
+# every one of its rows, just as patients.csv stores it.
 
 cohort = CohortConfig(n_patients=200, feature_dim=6, seed=7)
-records, features, _onsets = generate_cohort(cohort)
-s = cohort_summary(records)
+patients, features, _onsets = generate_cohort(cohort)
+s = cohort_summary(patients)
 print(f"cohort: {s.n_patients} patients, {s.n_scans} scans, "
       f"{s.n_cancer_patients} cancer ({s.cancer_fraction:.0%})")
 
@@ -41,7 +44,7 @@ print(f"cohort: {s.n_patients} patients, {s.n_scans} scans, "
 # The labels are one table: a list of scan ids and patient ids, and one
 # numpy array per label column.
 
-labels = derive_scan_labels(records)
+labels = derive_scan_labels(patients)
 i = int(np.flatnonzero(labels.y)[0])
 print(f"example malignant scan: {labels.scan_ids[i]}  t_d={labels.t_d[i]:.2f}  "
       f"p={labels.p[i]}  y={labels.y[i]}")

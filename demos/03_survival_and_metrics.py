@@ -5,7 +5,7 @@ AUC with its ROC sweep, McNemar on paired classifiers, region quadrants.
 import numpy as np
 
 from cfpt import (
-    PatientRecord,
+    PatientTable,
     derive_scan_labels,
     km_estimate,
     mcnemar,
@@ -17,14 +17,18 @@ from cfpt import (
 # --- Kaplan-Meier on a handful of scans --------------------------------------
 # Each scan contributes one observation of remaining time to diagnosis:
 # time t_d, event indicator p. Non-cancer scans are right-censored.
+# The four patients are one table with a row per scan; each patient's
+# outcome repeats on its rows, and NaN marks "never diagnosed".
 
-records = [
-    PatientRecord(patient_id="n1", scan_times=(0.0, 1.0, 2.0), is_cancer=False),
-    PatientRecord(patient_id="n2", scan_times=(0.0, 1.0), is_cancer=False),
-    PatientRecord(patient_id="c1", scan_times=(0.0, 1.0, 2.0), is_cancer=True, diagnosis_time=2.5),
-    PatientRecord(patient_id="c2", scan_times=(0.0, 2.0), is_cancer=True, diagnosis_time=3.0),
-]
-labels = derive_scan_labels(records)
+nan = float("nan")
+patients = PatientTable(
+    patient_ids=["n1"] * 3 + ["n2"] * 2 + ["c1"] * 3 + ["c2"] * 2,
+    is_cancer=[False] * 5 + [True] * 5,
+    diagnosis_time=[nan] * 5 + [2.5] * 3 + [3.0] * 2,
+    scan_ids=[f"s{k}" for k in range(10)],
+    scan_times=[0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 1.0, 2.0, 0.0, 2.0],
+)
+labels = derive_scan_labels(patients)
 km = km_estimate(labels.t_d, labels.p)
 print("KM steps (time, survival, at risk, events):")
 for row in zip(km.times, km.survival, km.n_at_risk, km.n_events):

@@ -8,6 +8,8 @@ signal that grows as onset approaches, so the learning problem is
 solvable but noisy.
 """
 
+from collections import Counter
+
 from cfpt import (
     CohortConfig,
     build_dataset,
@@ -22,8 +24,8 @@ from cfpt import (
 # --- the reference cohort -----------------------------------------------------
 
 cfg = reference_cohort_config(seed=0)
-records, features, onsets = generate_cohort(cfg)
-s = cohort_summary(records)
+patients, features, onsets = generate_cohort(cfg)
+s = cohort_summary(patients)
 print(f"reference cohort: {s.n_patients} patients, {s.n_scans} scans")
 print(f"cancer fraction {s.cancer_fraction:.3f} (target {cfg.cancer_fraction_target})")
 print(f"censored scan fraction {s.censored_fraction:.3f}")
@@ -32,19 +34,25 @@ print("scans per patient:", ", ".join(f"{k}x{v}" for k, v in counts))
 
 # --- diagnosis sits at the first scan at/after onset ----------------------------
 
-rec = next(r for r in records if r.is_cancer and len(r.scan_times) > 2)
-print(f"\npatient {rec.patient_id}: onset {onsets[rec.patient_id]:.2f}, "
-      f"diagnosis {rec.diagnosis_time}, scans {[f'{t:g}' for t in rec.scan_times]}")
-one = derive_scan_labels([rec])
-for sid, t_d, p, y in zip(one.scan_ids, one.t_d, one.p, one.y):
-    print(f"  {sid}: t_d={t_d:+.2f}  p={p}  y={y}")
+# The cohort is one table with a row per scan, so a patient is a run of
+# rows; the labels come out row for row.
+
+labels = derive_scan_labels(patients)
+pid = next(pid for pid, n in Counter(patients.patient_ids).items()
+           if n > 2 and patients.is_cancer[patients.patient_ids.index(pid)])
+rows = [i for i, p in enumerate(patients.patient_ids) if p == pid]
+print(f"\npatient {pid}: onset {onsets[pid]:.2f}, "
+      f"diagnosis {patients.diagnosis_time[rows[0]]}, "
+      f"scans {[f'{t:g}' for t in patients.scan_times[rows]]}")
+for i in rows:
+    print(f"  {labels.scan_ids[i]}: t_d={labels.t_d[i]:+.2f}  p={labels.p[i]}  y={labels.y[i]}")
 
 # --- the ramp channel carries the scan-level signal ------------------------------
 # The last feature column is the progression ramp; judged as a lone
 # malignancy score it already beats chance by a wide margin. The static
 # risk covariates only shift when onset happens, so alone each is weak.
 
-dataset = build_dataset(derive_scan_labels(records), features)
+dataset = build_dataset(labels, features)
 y = dataset.y
 ramp = dataset.features[:, -1]
 covariate = dataset.features[:, 0]

@@ -8,14 +8,7 @@ evaluation battery (ROC/AUC, McNemar, Kaplan-Meier, region analysis)
 around it.
 """
 
-from .labels import (
-    LabelTable,
-    PatientRecord,
-    derive_scan_labels,
-    effective_biopsy_time,
-    effective_scan_ids,
-    validate_record,
-)
+from .labels import LabelTable, PatientTable, derive_scan_labels
 from .losses import (
     LossConfig,
     cel,
@@ -68,8 +61,7 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabelTable", "PatientRecord", "derive_scan_labels", "effective_biopsy_time",
-    "effective_scan_ids", "validate_record",
+    "LabelTable", "PatientTable", "derive_scan_labels",
     "LossConfig", "crl", "crl_grad", "cel", "cel_grad_logit",
     "EvalReport", "KMCurve", "McNemarResult", "RegionRatios", "ThresholdRow",
     "evaluate", "km_estimate", "mcnemar", "region_ratios", "roc_auc",

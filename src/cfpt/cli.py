@@ -15,8 +15,9 @@ Experiment configs are flat text files of dotted keys (``train.lr0 = 1e-3``),
 written with ``repr`` so a rerun with the same config is byte-identical.
 Errors print a single ``error:<class>: message`` line and exit nonzero.
 
-Per-scan files are read and written as column tables, never as an object
-per row: labels as a :class:`~cfpt.labels.LabelTable`, predictions as a
+Every per-scan file is read and written as a column table, never as an
+object per row: the cohort as a :class:`~cfpt.labels.PatientTable`, labels
+as a :class:`~cfpt.labels.LabelTable`, predictions as a
 :class:`~cfpt.model.PredictionTable`, and scan features as a
 ``(scan_ids, matrix)`` pair.
 """
@@ -32,7 +33,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .labels import LabelTable, PatientRecord, derive_scan_labels, effective_scan_ids
+from .labels import LabelTable, PatientTable, derive_scan_labels
 from .losses import LossConfig
 from .metrics import EvalReport, KMCurve, evaluate, km_estimate
 from .model import ModelConfig, PredictionTable, TrainConfig, build_dataset, run_crossval
@@ -206,7 +207,7 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 #   str     any text
 #   key     text that appears once in the file
 #   float   a finite number, written with repr so it round-trips exactly
-#   float?  empty (None) or a finite number
+#   float?  empty (NaN) or a finite number
 #   bit     0 or 1
 #   int     an integer
 
@@ -225,11 +226,8 @@ def _floats(cells):
 
 
 def _optional_floats(cells):
-    out = [None if c == "" else float(c) for c in cells]
-    # filter(None, ...) skips the Nones, and the 0.0s, which are finite
-    if not all(map(math.isfinite, filter(None, out))):
-        raise ValueError
-    return out
+    _floats(filter(None, cells))  # every non-empty cell is a finite number
+    return [float(c) if c else math.nan for c in cells]
 
 
 # kind -> (parse a column of cells or raise ValueError, complaint about a bad cell)
@@ -247,7 +245,7 @@ _FORMAT = {
     "str": lambda values: values,
     "key": lambda values: values,
     "float": lambda values: map(repr, map(float, values)),
-    "float?": lambda values: ["" if v is None else repr(float(v)) for v in values],
+    "float?": lambda values: ["" if math.isnan(v) else repr(v) for v in map(float, values)],
     "bit": lambda values: map(("0", "1").__getitem__, values),
     "int": lambda values: map(str, map(int, values)),
 }
@@ -327,40 +325,39 @@ def _write_csv(path, schema, columns) -> None:
         w.writerows(zip(*cells))
 
 
-def write_patients_csv(path, records) -> None:
-    rows = [
-        (rec.patient_id, rec.is_cancer, rec.diagnosis_time, sid, t)
-        for rec in records
-        for sid, t in zip(effective_scan_ids(rec), rec.scan_times)
-    ]
-    _write_csv(path, _PATIENTS, [map(itemgetter(j), rows) for j in range(len(_PATIENTS))])
+def write_patients_csv(path, patients: PatientTable) -> None:
+    _write_csv(path, _PATIENTS, [
+        patients.patient_ids, patients.is_cancer.tolist(), patients.diagnosis_time.tolist(),
+        patients.scan_ids, patients.scan_times.tolist(),
+    ])
 
 
-def read_patients_csv(path) -> list:
-    """One row per scan, patient fields repeated; rows of one patient must
-    agree on is_cancer/diagnosis_time but may appear in any order."""
-    columns = _read_csv(path, _PATIENTS)
-    if "" in columns[0]:
-        raise SchemaError(f"{path} row {columns[0].index('') + 2}: empty patient_id")
-    per_patient = {}
-    for i, (pid, cancer, diag, sid, t) in enumerate(zip(*columns), start=2):
-        entry = per_patient.get(pid)
-        if entry is None:
-            entry = per_patient[pid] = (cancer, diag, [])
-        elif entry[0] != cancer or entry[1] != diag:
-            raise SchemaError(f"{path} row {i}: patient {pid!r} contradicts its earlier rows")
-        entry[2].append((t, sid))
-    records = []
-    for pid, (cancer, diag, scans) in per_patient.items():
-        scans.sort()
-        records.append(PatientRecord(
-            patient_id=pid,
-            scan_times=tuple(t for t, _ in scans),
-            is_cancer=bool(cancer),
-            diagnosis_time=diag,
-            scan_ids=tuple(sid for _, sid in scans),
-        ))
-    return records
+def read_patients_csv(path) -> PatientTable:
+    """The cohort of a patients file, whose rows may come in any order:
+    patients in order of first appearance, each one's scans in time order.
+    A patient's rows must agree on is_cancer and diagnosis_time."""
+    pids, cancer, diag, sids, times = _read_csv(path, _PATIENTS)
+    if "" in pids:
+        raise SchemaError(f"{path} row {pids.index('') + 2}: empty patient_id")
+    _, first, patient = np.unique(
+        np.asarray(pids, dtype=str), return_index=True, return_inverse=True
+    )
+    head = first[patient]  # each row's patient's first row
+    cancer = np.asarray(cancer, dtype=bool)
+    diag = np.asarray(diag, dtype=np.float64)
+    unknown = np.isnan(diag)
+    clash = (cancer != cancer[head]) | ~((diag == diag[head]) | (unknown & unknown[head]))
+    if clash.any():
+        i = int(clash.argmax())
+        raise SchemaError(f"{path} row {i + 2}: patient {pids[i]!r} contradicts its earlier rows")
+    order = np.lexsort((times, head))
+    rows = order.tolist()
+    # each patient's diagnosis time from its first row: the other rows
+    # equal it, though a zero's sign may differ
+    return PatientTable(
+        list(map(pids.__getitem__, rows)), cancer[order], diag[head[order]],
+        list(map(sids.__getitem__, rows)), np.asarray(times)[order],
+    )
 
 
 def write_scans_csv(path, features) -> None:
@@ -368,6 +365,12 @@ def write_scans_csv(path, features) -> None:
     in the pair's order; the column count is the matrix's."""
     scan_ids, matrix = features
     matrix = np.asarray(matrix, dtype=np.float64)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{path} row {i + 2}: column f{j}: not a finite number: {float(matrix[i, j])!r}"
+        )
     schema = {"scan_id": "key", **{f"f{j}": "float" for j in range(matrix.shape[1])}}
     _write_csv(path, schema, [scan_ids, *matrix.T.tolist()])
 
@@ -385,9 +388,8 @@ def read_scans_csv(path) -> tuple:
     return ids, mat
 
 
-def write_truth_csv(path, onsets: dict, order) -> None:
-    order = list(order)
-    _write_csv(path, _TRUTH, [order, [onsets[pid] for pid in order]])
+def write_truth_csv(path, onsets: dict) -> None:
+    _write_csv(path, _TRUTH, [list(onsets), list(onsets.values())])
 
 
 def write_labels_csv(path, labels: LabelTable) -> None:
@@ -451,13 +453,11 @@ def write_folds_csv(path, assignments) -> None:
 def cmd_synth(cfg: ExperimentConfig, out_dir) -> CohortSummary:
     """Generate the cohort and write patients/scans/truth CSVs."""
     os.makedirs(out_dir, exist_ok=True)
-    records, features, onsets = generate_cohort(cfg.cohort)
-    write_patients_csv(os.path.join(out_dir, "patients.csv"), records)
+    patients, features, onsets = generate_cohort(cfg.cohort)
+    write_patients_csv(os.path.join(out_dir, "patients.csv"), patients)
     write_scans_csv(os.path.join(out_dir, "scans.csv"), features)
-    write_truth_csv(
-        os.path.join(out_dir, "truth.csv"), onsets, [rec.patient_id for rec in records]
-    )
-    return cohort_summary(records)
+    write_truth_csv(os.path.join(out_dir, "truth.csv"), onsets)
+    return cohort_summary(patients)
 
 
 def cmd_label(patients_csv, labels_csv) -> int:

@@ -20,9 +20,10 @@ Malignancy is a scan-level notion here, not a subject-level one: an early
 scan of a patient who is diagnosed years later carries ``p = 1`` but
 ``y = 0``.
 
-A cohort's labels are one :class:`LabelTable`, a column per field, from
-:func:`derive_scan_labels` through the labels CSV to training and
-evaluation.
+A cohort is one :class:`PatientTable` and its labels one
+:class:`LabelTable`, each a column per field and a row per scan: from the
+simulator or the patients CSV, through :func:`derive_scan_labels` and the
+labels CSV, to training and evaluation.
 """
 
 from dataclasses import dataclass
@@ -30,29 +31,39 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """Raw longitudinal clinical events for one patient.
+def _check_lengths(table):
+    if len({len(column) for column in vars(table).values()}) > 1:
+        raise ValueError(f"{type(table).__name__} columns must have matching lengths")
 
-    ``scan_times`` are in years relative to an arbitrary per-patient origin
-    (only differences matter) and must be strictly increasing.
-    ``diagnosis_time`` is the biopsy time on the same axis; it may be set
-    only for cancer patients and may predate the first scan or fall between
-    scans. ``scan_ids`` optionally carries externally assigned scan
-    identifiers; when omitted, ids are generated as ``<patient_id>-s<k>``.
+
+@dataclass(eq=False)
+class PatientTable:
+    """A cohort's longitudinal records, one row per scan, in the columns of
+    ``patients.csv``.
+
+    ``patient_ids`` and ``scan_ids`` are lists of str; ``is_cancer`` is
+    bool, ``diagnosis_time`` float64 and ``scan_times`` float64, converted
+    on construction. The patient fields repeat on each of the patient's
+    rows. Scan times are in years from an arbitrary per-patient origin
+    (only differences matter). ``diagnosis_time`` is the biopsy time on
+    the same axis, NaN when unknown; it may predate the first scan or fall
+    between scans. Values are checked by :func:`derive_scan_labels`.
     """
 
-    patient_id: str
-    scan_times: tuple[float, ...]
-    is_cancer: bool
-    diagnosis_time: float | None = None
-    scan_ids: tuple[str, ...] | None = None
+    patient_ids: list
+    is_cancer: np.ndarray
+    diagnosis_time: np.ndarray
+    scan_ids: list
+    scan_times: np.ndarray
 
     def __post_init__(self):
-        # normalize sequences so records hash/compare predictably
-        object.__setattr__(self, "scan_times", tuple(float(t) for t in self.scan_times))
-        if self.scan_ids is not None:
-            object.__setattr__(self, "scan_ids", tuple(str(s) for s in self.scan_ids))
+        self.is_cancer = np.asarray(self.is_cancer, dtype=bool)
+        self.diagnosis_time = np.asarray(self.diagnosis_time, dtype=np.float64)
+        self.scan_times = np.asarray(self.scan_times, dtype=np.float64)
+        _check_lengths(self)
+
+    def __len__(self):
+        return len(self.scan_ids)
 
 
 @dataclass(eq=False)
@@ -77,108 +88,84 @@ class LabelTable:
         self.p = np.asarray(self.p, dtype=np.int64)
         self.y = np.asarray(self.y, dtype=np.int64)
         self.right_censored = np.asarray(self.right_censored, dtype=bool)
-        n = len(self.scan_ids)
-        if not all(len(c) == n for c in (self.patient_ids, self.t_d, self.p, self.y,
-                                          self.right_censored)):
-            raise ValueError("LabelTable columns must have matching lengths")
+        _check_lengths(self)
 
     def __len__(self):
         return len(self.scan_ids)
 
 
-def validate_record(record: PatientRecord) -> list[str]:
-    """Return the list of violated record invariants (empty when valid).
+def _repeats(keys) -> np.ndarray:
+    """Whether each of ``keys`` equals an earlier one."""
+    out = np.zeros(len(keys), dtype=bool)
+    if len(set(keys)) < len(keys):
+        out[:] = True
+        out[np.unique(np.asarray(keys), return_index=True)[1]] = False
+    return out
 
-    Never raises and never mutates; every problem is reported as one
-    human-readable string.
+
+def _patient_starts(patients: PatientTable) -> np.ndarray:
+    """Whether each row starts a patient, once the whole table is checked.
+
+    A table that breaks an invariant raises ValueError naming the patient
+    of the first row that breaks one, with all of that patient's problems.
     """
-    problems = []
-    times = record.scan_times
-    if len(times) == 0:
-        problems.append("scan_times is empty")
-    if any(t != t or t in (float("inf"), float("-inf")) for t in times):
-        problems.append("scan_times contains non-finite values")
-    elif any(b <= a for a, b in zip(times, times[1:])):
-        problems.append("scan_times not strictly increasing")
-    if record.diagnosis_time is not None and not record.is_cancer:
-        problems.append("diagnosis_time present for non-cancer patient")
-    if record.diagnosis_time is not None:
-        d = float(record.diagnosis_time)
-        if d != d or d in (float("inf"), float("-inf")):
-            problems.append("diagnosis_time is non-finite")
-    if record.scan_ids is not None:
-        if len(record.scan_ids) != len(times):
-            problems.append("scan_ids length does not match scan_times")
-        if len(set(record.scan_ids)) != len(record.scan_ids):
-            problems.append("scan_ids contains duplicates")
-    return problems
+    pid = np.asarray(patients.patient_ids, dtype=str)
+    start = np.ones(len(pid), dtype=bool)
+    start[1:] = pid[1:] != pid[:-1]
+    patient = np.cumsum(start) - 1
+    head = np.flatnonzero(start)[patient]
+    times, cancer, diag = patients.scan_times, patients.is_cancer, patients.diagnosis_time
+    unknown = np.isnan(diag)
+    # each invariant as a flag per row that breaks it
+    problems = {
+        "rows not contiguous": _repeats(pid[start].tolist())[patient],
+        "rows disagree on is_cancer or diagnosis_time":
+            (cancer != cancer[head]) | ~((diag == diag[head]) | (unknown & unknown[head])),
+        "scan_times contains non-finite values": ~np.isfinite(times),
+        "scan_times not strictly increasing": ~start & (times <= np.roll(times, 1)),
+        "diagnosis_time present for non-cancer patient": ~cancer & ~unknown,
+        "diagnosis_time is infinite": np.isinf(diag),
+        "scan_id repeats an earlier row": _repeats(patients.scan_ids),
+    }
+    bad = np.logical_or.reduce(list(problems.values()))
+    if bad.any():
+        name = pid[bad.argmax()]
+        own = pid == name
+        raise ValueError(f"invalid record {str(name)!r}: " + "; ".join(
+            what for what, flags in problems.items() if flags[own].any()))
+    return start
 
 
-def _check_valid(record: PatientRecord) -> None:
-    problems = validate_record(record)
-    if problems:
-        raise ValueError(
-            f"invalid record {record.patient_id!r}: " + "; ".join(problems)
-        )
-
-
-def effective_scan_ids(record: PatientRecord) -> tuple[str, ...]:
-    """The record's scan ids, generating ``<patient>-s<k>`` when absent."""
-    if record.scan_ids is not None:
-        return record.scan_ids
-    return tuple(f"{record.patient_id}-s{k}" for k in range(len(record.scan_times)))
-
-
-def effective_biopsy_time(record: PatientRecord) -> float:
-    """Biopsy time for a cancer patient.
-
-    Returns the recorded diagnosis time when present; for confirmed cancer
-    patients whose actual diagnosis date is missing, the last scan time
-    stands in for it.
-    """
-    if not record.is_cancer:
-        raise ValueError(
-            f"patient {record.patient_id!r} is not a cancer patient; "
-            "no biopsy time is defined"
-        )
-    _check_valid(record)
-    if record.diagnosis_time is not None:
-        return float(record.diagnosis_time)
-    return record.scan_times[-1]
-
-
-def derive_scan_labels(records) -> LabelTable:
-    """Derive the :class:`LabelTable` of ``records``: one row per scan,
-    patients in the given order and each patient's scans in scan order.
+def derive_scan_labels(patients: PatientTable) -> LabelTable:
+    """Derive the :class:`LabelTable` of ``patients``, row for row.
 
     Never-diagnosed patients: ``t_d`` is the gap to the last scan plus one
     year (so the last scan gets exactly 1.0), all labels negative,
     right-censored. Cancer patients: ``t_d`` is the signed gap to the
-    biopsy time ``b``; malignant scans are the latest one at or before
-    ``b`` (when any scan precedes it) together with every scan after ``b``.
-    An invalid record raises ValueError naming its patient.
+    biopsy time ``b``, the diagnosis time or else the last scan time;
+    malignant scans are the latest one at or before ``b`` (when any scan
+    precedes it) together with every scan after ``b``.
+
+    The whole table is checked first: each patient's rows are contiguous
+    and agree on ``is_cancer`` and ``diagnosis_time``; scan times are
+    finite and strictly increasing within a patient; a diagnosis time is
+    finite and belongs to a cancer patient; scan ids are unique. A
+    ValueError names the first patient that breaks one.
     """
-    records = list(records)
-    for rec in records:
-        _check_valid(rec)
-    counts = [len(rec.scan_times) for rec in records]
-    times = np.array([t for rec in records for t in rec.scan_times], dtype=np.float64)
-    cancer = np.repeat(np.array([rec.is_cancer for rec in records], dtype=bool), counts)
-    # the biopsy time of a cancer patient (see effective_biopsy_time), the
-    # last scan time of anyone else; both are per patient, repeated per scan
-    ref = np.repeat(np.array([
-        rec.scan_times[-1] if rec.diagnosis_time is None else rec.diagnosis_time
-        for rec in records
-    ], dtype=np.float64), counts)
+    start = _patient_starts(patients)
+    times, cancer, diag = patients.scan_times, patients.is_cancer, patients.diagnosis_time
+    last = np.ones(len(times), dtype=bool)
+    last[:-1] = start[1:]
+    # the diagnosis time when known, else the patient's last scan time
+    ref = np.where(np.isnan(diag), times[last][np.cumsum(start) - 1], diag)
     gap = ref - times
-    last = np.zeros(len(times), dtype=bool)
-    last[np.cumsum(counts, dtype=np.intp) - 1] = True
     # scan times increase, so a scan is the latest at or before b, or after
-    # b, exactly when it is its patient's last scan or the next one is after b
-    later = np.append(times[1:], np.inf)
+    # b, exactly when it is its patient's last scan or the next one is after
+    # b (the roll wraps only on the table's last row, a last scan)
+    later = np.roll(times, -1)
     return LabelTable(
-        scan_ids=[sid for rec in records for sid in effective_scan_ids(rec)],
-        patient_ids=[rec.patient_id for rec, k in zip(records, counts) for _ in range(k)],
+        scan_ids=list(patients.scan_ids),
+        patient_ids=list(patients.patient_ids),
         t_d=np.where(cancer, gap, gap + 1.0),
         p=cancer,
         y=cancer & (last | (later > ref)),

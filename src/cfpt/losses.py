@@ -22,6 +22,7 @@ accepts scalars or numpy arrays (broadcast together) and computes in
 double precision.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,10 @@ class LossConfig:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
 
 
 # checks call array methods (a.all(), not np.all(a)), which cost less per

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import PatientRecord, derive_scan_labels
+from .labels import PatientTable, derive_scan_labels
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,26 @@ class CohortConfig:
             )
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if not self.scan_interval > 0:
-            raise ValueError(f"scan_interval must be positive, got {self.scan_interval}")
-        if self.study_horizon < self.scan_interval:
-            raise ValueError("study_horizon must be at least one scan_interval")
+        if not 0 < self.scan_interval < math.inf:
+            raise ValueError(
+                f"scan_interval must be positive and finite, got {self.scan_interval}"
+            )
+        if not self.scan_interval <= self.study_horizon < math.inf:
+            raise ValueError(
+                f"study_horizon must be finite and at least one scan_interval, "
+                f"got {self.study_horizon}"
+            )
         if not 0 <= self.dropout_prob < 1:
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        if not self.onset_scale > 0 or not self.onset_shape > 0:
-            raise ValueError("Weibull onset parameters must be positive")
+        if not (0 < self.onset_scale < math.inf and 0 < self.onset_shape < math.inf):
+            raise ValueError(
+                "Weibull onset parameters onset_scale and onset_shape must be positive and "
+                f"finite, got {self.onset_scale} and {self.onset_shape}"
+            )
+        if not math.isfinite(self.risk_coeff):
+            raise ValueError(f"risk_coeff must be finite, got {self.risk_coeff}")
+        if not math.isfinite(self.progression_gain):
+            raise ValueError(f"progression_gain must be finite, got {self.progression_gain}")
         if not 0 <= self.noise_sd < math.inf:
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
@@ -84,11 +96,12 @@ def _risk_direction(dim: int) -> np.ndarray:
 
 
 def generate_cohort(cfg: CohortConfig):
-    """Draw one cohort; returns (records, features, onsets).
+    """Draw one cohort; returns (patients, features, onsets).
 
-    ``records`` is a list of :class:`PatientRecord`, ``features`` the pair
-    ``(scan_ids, matrix)``: every scan id in record order and one matrix
-    row per scan (baseline ``x`` plus the progression channel, so
+    ``patients`` is a :class:`PatientTable`, one row per scan, patient by
+    patient and each patient's scans in time order; ``features`` the pair
+    ``(scan_ids, matrix)``: the same scan ids in the same order and one
+    matrix row per scan (baseline ``x`` plus the progression channel, so
     ``feature_dim + 1`` columns), and ``onsets`` maps patient_id to the
     latent onset time (ground truth, evaluation only). Output is a pure
     function of the config, including its seed.
@@ -98,8 +111,11 @@ def generate_cohort(cfg: CohortConfig):
     n_max = int(np.floor(cfg.study_horizon / cfg.scan_interval + 1e-9)) + 1
     width = len(str(cfg.n_patients - 1))
 
-    records = []
+    patient_ids = []
+    is_cancer = []
+    diagnosis_times = []
     scan_ids = []
+    times = []
     blocks = []
     onsets = {}
     for i in range(cfg.n_patients):
@@ -115,54 +131,47 @@ def generate_cohort(cfg: CohortConfig):
             if k < n_max - 1 and rng.uniform() < cfg.dropout_prob:
                 break
 
-        diagnosis = None
+        diagnosis = math.nan
         for t in scan_times:
             if t >= t_onset:
                 diagnosis = t
                 break
 
-        noise = rng.normal(0.0, cfg.noise_sd, size=len(scan_times))
-        ids = tuple(f"{pid}-s{k}" for k in range(len(scan_times)))
+        n = len(scan_times)
+        noise = rng.normal(0.0, cfg.noise_sd, size=n)
         ramp = np.maximum(0.0, 1.0 - (t_onset - np.array(scan_times)) / cfg.study_horizon)
-        block = np.empty((len(scan_times), cfg.feature_dim + 1))
+        block = np.empty((n, cfg.feature_dim + 1))
         block[:, :-1] = x
         block[:, -1] = cfg.progression_gain * ramp + noise
         blocks.append(block)
-        scan_ids.extend(ids)
-
-        records.append(
-            PatientRecord(
-                patient_id=pid,
-                scan_times=tuple(scan_times),
-                is_cancer=diagnosis is not None,
-                diagnosis_time=diagnosis,
-                scan_ids=ids,
-            )
-        )
+        patient_ids += [pid] * n
+        is_cancer += [not math.isnan(diagnosis)] * n
+        diagnosis_times += [diagnosis] * n
+        scan_ids += [f"{pid}-s{k}" for k in range(n)]
+        times += scan_times
         onsets[pid] = t_onset
-    return records, (scan_ids, np.concatenate(blocks)), onsets
+    patients = PatientTable(patient_ids, is_cancer, diagnosis_times, scan_ids, times)
+    return patients, (list(scan_ids), np.concatenate(blocks)), onsets
 
 
-def cohort_summary(records) -> CohortSummary:
+def cohort_summary(patients: PatientTable) -> CohortSummary:
     """Aggregate counts over a cohort; malignancy via label derivation."""
-    if not records:
+    if not len(patients):
         raise ValueError("cohort_summary of an empty cohort is undefined")
-    n_scans = 0
-    n_cancer = 0
-    per_patient = {}
-    for rec in records:
-        k = len(rec.scan_times)
-        n_scans += k
-        per_patient[k] = per_patient.get(k, 0) + 1
-        if rec.is_cancer:
-            n_cancer += 1
+    labels = derive_scan_labels(patients)
+    _, first, sizes = np.unique(
+        np.asarray(patients.patient_ids, dtype=str), return_index=True, return_counts=True
+    )
+    n_patients = len(first)
+    n_cancer = int(patients.is_cancer[first].sum())
+    size, count = np.unique(sizes, return_counts=True)
     return CohortSummary(
-        n_patients=len(records),
-        n_scans=n_scans,
+        n_patients=n_patients,
+        n_scans=len(patients),
         n_cancer_patients=n_cancer,
-        n_malignant_scans=int(derive_scan_labels(records).y.sum()),
-        censored_fraction=(len(records) - n_cancer) / len(records),
-        scans_per_patient=dict(sorted(per_patient.items())),
+        n_malignant_scans=int(labels.y.sum()),
+        censored_fraction=(n_patients - n_cancer) / n_patients,
+        scans_per_patient=dict(zip(size.tolist(), count.tolist())),
     )
 
 
@@ -178,8 +187,8 @@ def calibrate_onset_scale(
     from dataclasses import replace
 
     def fraction(scale: float) -> float:
-        records, _, _ = generate_cohort(replace(cfg, onset_scale=scale))
-        return cohort_summary(records).cancer_fraction
+        patients, _, _ = generate_cohort(replace(cfg, onset_scale=scale))
+        return cohort_summary(patients).cancer_fraction
 
     target = cfg.cancer_fraction_target
     if fraction(lo) < target or fraction(hi) > target:

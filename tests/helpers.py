@@ -6,10 +6,11 @@ code it checks.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from cfpt.labels import PatientRecord, effective_biopsy_time
+from cfpt.labels import PatientTable
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +86,45 @@ def binomial_two_sided_oracle(k_small, n):
 
 
 # ---------------------------------------------------------------------------
+# patient records
+
+# one patient's longitudinal record; diagnosis_time is None when unknown
+Record = namedtuple("Record", "patient_id scan_times is_cancer diagnosis_time", defaults=[None])
+
+
+def patient_table(*records):
+    """The :class:`PatientTable` of ``records`` in order, one row per scan,
+    with scan ids ``<patient_id>-s<k>``."""
+    rows = [
+        (rec.patient_id, rec.is_cancer,
+         math.nan if rec.diagnosis_time is None else rec.diagnosis_time,
+         f"{rec.patient_id}-s{k}", t)
+        for rec in records
+        for k, t in enumerate(rec.scan_times)
+    ]
+    return PatientTable(*map(list, zip(*rows))) if rows else PatientTable([], [], [], [], [])
+
+
+def records_of(patients):
+    """The :class:`Record` of each patient of a valid :class:`PatientTable`,
+    in order of first appearance."""
+    times, outcome = {}, {}
+    for pid, cancer, diagnosis, t in zip(
+        patients.patient_ids, patients.is_cancer.tolist(), patients.diagnosis_time.tolist(),
+        patients.scan_times.tolist(),
+    ):
+        times.setdefault(pid, []).append(t)
+        outcome.setdefault(pid, (cancer, None if math.isnan(diagnosis) else diagnosis))
+    return [Record(pid, tuple(ts), *outcome[pid]) for pid, ts in times.items()]
+
+
+# ---------------------------------------------------------------------------
 # random inputs
 
 
 def random_patient_record(rng, pid=None):
-    """A random record that satisfies the record invariants by construction.
+    """A random :class:`Record` that satisfies the record invariants by
+    construction.
 
     Covers cancer/non-cancer, present/absent diagnosis times, diagnosis
     before the first scan, between scans, and after the last scan.
@@ -102,7 +137,7 @@ def random_patient_record(rng, pid=None):
     diagnosis = None
     if is_cancer and rng.uniform() < 0.7:
         diagnosis = float(rng.uniform(times[0] - 1.0, times[-1] + 2.0))
-    return PatientRecord(
+    return Record(
         patient_id=pid or f"r{rng.integers(0, 10**9)}",
         scan_times=times,
         is_cancer=bool(is_cancer),
@@ -162,7 +197,8 @@ def check_label_invariants(rec, labels):
             # consecutive differences mirror the scan spacing
             assert abs((ta - tb) - (sb - sa)) <= 1e-12
     else:
-        b = effective_biopsy_time(rec)
+        # the biopsy time: the diagnosis time, or else the last scan time
+        b = rec.scan_times[-1] if rec.diagnosis_time is None else rec.diagnosis_time
         pre = [k for k, t in enumerate(rec.scan_times) if t <= b]
         expected_pos = {k for k, t in enumerate(rec.scan_times) if t > b}
         if pre:
@@ -173,7 +209,7 @@ def check_label_invariants(rec, labels):
 
 
 def table_columns(table):
-    """Every column of a label or prediction table, for exact comparison:
+    """Every column of a patient, label or prediction table, for exact comparison:
     id lists as they are, arrays as dtype and bytes."""
     return [
         col if isinstance(col, list) else (col.dtype.str, col.tobytes())

@@ -24,7 +24,7 @@ from cfpt.cli import (
     cmd_label,
     cmd_synth,
 )
-from cfpt.labels import PatientRecord, derive_scan_labels
+from cfpt.labels import derive_scan_labels
 from cfpt.losses import LossConfig, cel, cel_grad_logit, crl, crl_grad
 from cfpt.metrics import (
     evaluate,
@@ -37,11 +37,13 @@ from cfpt.metrics import (
 from cfpt.model import ModelConfig, TrainConfig, backward, build_dataset, run_crossval
 from cfpt.simulate import generate_cohort, reference_cohort_config
 from helpers import (
+    Record,
     auc_pairwise_oracle,
     check_label_invariants,
     crl_kink_distance,
     crl_oracle,
     km_oracle,
+    patient_table,
     random_censored_sample,
     random_network_instance,
     random_patient_record,
@@ -180,25 +182,25 @@ def test_3_crl_zero_set_convexity_continuity(capsys):
 def test_4_label_conformance(capsys):
     cases = [
         (
-            PatientRecord(patient_id="a", scan_times=(0.0, 1.0, 2.0), is_cancer=False),
+            Record(patient_id="a", scan_times=(0.0, 1.0, 2.0), is_cancer=False),
             [3.0, 2.0, 1.0],
             [0, 0, 0],
             [0, 0, 0],
         ),
         (
-            PatientRecord(patient_id="b", scan_times=(0.0, 1.5), is_cancer=True, diagnosis_time=2.0),
+            Record(patient_id="b", scan_times=(0.0, 1.5), is_cancer=True, diagnosis_time=2.0),
             [2.0, 0.5],
             [1, 1],
             [0, 1],
         ),
         (
-            PatientRecord(patient_id="c", scan_times=(0.0, 1.0, 3.0), is_cancer=True, diagnosis_time=2.0),
+            Record(patient_id="c", scan_times=(0.0, 1.0, 3.0), is_cancer=True, diagnosis_time=2.0),
             [2.0, 1.0, -1.0],
             [1, 1, 1],
             [0, 1, 1],
         ),
         (
-            PatientRecord(patient_id="d", scan_times=(0.0, 1.0), is_cancer=True),
+            Record(patient_id="d", scan_times=(0.0, 1.0), is_cancer=True),
             [1.0, 0.0],
             [1, 1],
             [0, 1],
@@ -206,7 +208,7 @@ def test_4_label_conformance(capsys):
     ]
     ok = True
     for rec, t_ds, ps, ys in cases:
-        labels = derive_scan_labels([rec])
+        labels = derive_scan_labels(patient_table(rec))
         ok = ok and labels.t_d.tolist() == t_ds
         ok = ok and labels.p.tolist() == ps
         ok = ok and labels.y.tolist() == ys
@@ -214,7 +216,7 @@ def test_4_label_conformance(capsys):
     rng = np.random.default_rng(1004)
     for _ in range(1_000):
         rec = random_patient_record(rng)
-        check_label_invariants(rec, derive_scan_labels([rec]))
+        check_label_invariants(rec, derive_scan_labels(patient_table(rec)))
 
     _report(capsys, "4 labels", ok, "4 worked examples, 1000 random records")
 

@@ -29,11 +29,11 @@ from cfpt.cli import (
     write_predictions_csv,
     write_scans_csv,
 )
-from cfpt.labels import PatientRecord, derive_scan_labels
+from cfpt.labels import PatientTable, derive_scan_labels
 from cfpt.losses import LossConfig
 from cfpt.model import PredictionTable, TrainConfig
 from cfpt.simulate import CohortConfig
-from helpers import table_columns
+from helpers import patient_table, table_columns
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,23 @@ def test_config_mode_invariants():
     assert ExperimentConfig().train.loss.lam == 0.5
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key", [key for key, (_, _, conv) in _CONFIG_KEYS.items() if conv is float]
+)
+def test_non_finite_float_setting_loads_or_is_one_config_error(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"cohort.n_patients = 10\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    if main(["synth", "--config", str(cfg_path), "--out", str(out)]) != 0:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:config: ")
+        assert not out.exists()
+    elif key.startswith("cohort."):
+        scan_ids, matrix = read_scans_csv(out / "scans.csv")
+        assert len(scan_ids) == len(matrix) > 0
+
+
 def test_load_experiment_config_overrides(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("mode = multi_task\ncohort.seed = 1\ntrain.seed = 2\n", encoding="utf-8")
@@ -154,25 +171,35 @@ def test_load_experiment_config_overrides(tmp_path):
 # CSV round-trips
 
 
-def _records():
-    return [
-        PatientRecord("pa", (0.0, 1.0, 2.5), True, diagnosis_time=1.8,
-                      scan_ids=("pa-s0", "pa-s1", "pa-s2")),
-        PatientRecord("pb", (0.0, 2.0), False, scan_ids=("pb-s0", "pb-s1")),
-        PatientRecord("pc", (0.5,), True, diagnosis_time=None, scan_ids=("pc-s0",)),
-    ]
+def _patients():
+    nan = float("nan")
+    return PatientTable(
+        ["pa", "pa", "pa", "pb", "pb", "pc"],
+        [True, True, True, False, False, True],
+        [1.8, 1.8, 1.8, nan, nan, nan],
+        ["pa-s0", "pa-s1", "pa-s2", "pb-s0", "pb-s1", "pc-s0"],
+        [0.0, 1.0, 2.5, 0.0, 2.0, 0.5],
+    )
 
 
 def test_patients_csv_round_trip(tmp_path):
     path = tmp_path / "patients.csv"
-    recs = _records()
-    write_patients_csv(path, recs)
-    assert read_patients_csv(path) == recs
+    patients = _patients()
+    patients.diagnosis_time[:3] = 0.1 + 0.2  # a float that needs all 17 digits
+    patients.scan_times[3] = -0.0
+    write_patients_csv(path, patients)
+    assert path.read_text(encoding="utf-8").splitlines()[4:] == [
+        "pb,0,,pb-s0,-0.0", "pb,0,,pb-s1,2.0", "pc,1,,pc-s0,0.5",
+    ]
+    back = read_patients_csv(path)
+    assert table_columns(back) == table_columns(patients)
+    write_patients_csv(tmp_path / "again.csv", back)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_labels_csv_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
-    labels = derive_scan_labels(_records())
+    labels = derive_scan_labels(_patients())
     labels.t_d[0] = 0.1 + 0.2  # a float that needs all 17 digits
     labels.t_d[1] = -0.0
     write_labels_csv(path, labels)
@@ -203,6 +230,23 @@ def test_scans_csv_round_trip(tmp_path):
     back_ids, back_mat = read_scans_csv(path)
     assert back_ids == ids
     assert back_mat.dtype == np.float64 and back_mat.tobytes() == mat.tobytes()
+
+
+def test_scans_csv_writer_refuses_non_finite_cells(tmp_path, capsys):
+    path = tmp_path / "scans.csv"
+    mat = np.ones((3, 2))
+    mat[1, 1] = np.inf
+    with pytest.raises(ValueError, match=r"scans\.csv row 3: column f1: not a finite number: inf$"):
+        write_scans_csv(path, (["a", "b", "c"], mat))
+    assert not path.exists()
+    # a finite noise scale whose draws overflow
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("cohort.n_patients = 10\ncohort.noise_sd = 1e308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error:data: {out / 'scans.csv'} row ")
+    assert not (out / "scans.csv").exists()
 
 
 def test_csv_schema_errors_name_rows(tmp_path):
@@ -321,20 +365,39 @@ def test_patients_csv_contradictory_rows(tmp_path):
 
 
 def test_cmd_label_matches_in_memory_derivation(tmp_path):
-    recs = _records()
     patients = tmp_path / "patients.csv"
     labels_out = tmp_path / "labels.csv"
-    write_patients_csv(patients, recs)
+    write_patients_csv(patients, _patients())
     n = cmd_label(patients, labels_out)
-    expected = derive_scan_labels(recs)
+    expected = derive_scan_labels(_patients())
     assert n == len(expected)
     assert table_columns(read_labels_csv(labels_out)) == table_columns(expected)
+
+
+def test_cmd_label_reads_patients_rows_in_any_order(tmp_path):
+    cfg = build_experiment_config({"cohort.n_patients": "12", "cohort.seed": "4"})
+    cmd_synth(cfg, tmp_path)
+    header, *rows = (tmp_path / "patients.csv").read_text(encoding="utf-8").splitlines()
+    per_patient = {}
+    for row in rows:
+        per_patient.setdefault(row.split(",")[0], []).append(row)
+    # round robin over the patients, each patient's scans latest first:
+    # patients interleave, scans run backwards in time, and the patients
+    # still appear first in their original order
+    scans = [list(reversed(own)) for own in per_patient.values()]
+    shuffled = [own[r] for r in range(max(map(len, scans))) for own in scans if r < len(own)]
+    assert shuffled != rows and sorted(shuffled) == sorted(rows)
+    (tmp_path / "shuffled.csv").write_text("\n".join([header, *shuffled]) + "\n", encoding="utf-8")
+    cmd_label(tmp_path / "patients.csv", tmp_path / "sorted_labels.csv")
+    cmd_label(tmp_path / "shuffled.csv", tmp_path / "shuffled_labels.csv")
+    assert (tmp_path / "shuffled_labels.csv").read_bytes() == (
+        tmp_path / "sorted_labels.csv").read_bytes()
 
 
 def test_cmd_label_empty_input(tmp_path):
     patients = tmp_path / "patients.csv"
     labels_out = tmp_path / "labels.csv"
-    write_patients_csv(patients, [])
+    write_patients_csv(patients, patient_table())
     assert cmd_label(patients, labels_out) == 0
     assert labels_out.read_text(encoding="utf-8") == "scan_id,patient_id,t_d,p,y,right_censored\n"
 
@@ -348,9 +411,9 @@ def test_cmd_synth_counts_and_determinism(tmp_path):
     assert s1 == s2
     for name in ("patients.csv", "scans.csv", "truth.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    records = read_patients_csv(out1 / "patients.csv")
-    assert len(records) == s1.n_patients == 40
-    assert sum(len(r.scan_times) for r in records) == s1.n_scans
+    patients = read_patients_csv(out1 / "patients.csv")
+    assert len(set(patients.patient_ids)) == s1.n_patients == 40
+    assert len(patients) == s1.n_scans
     scan_ids, features = read_scans_csv(out1 / "scans.csv")
     assert len(scan_ids) == len(features) == s1.n_scans
     truth_lines = (out1 / "truth.csv").read_text(encoding="utf-8").splitlines()
@@ -421,7 +484,7 @@ def _perfect_predictions(labels):
 
 
 def test_cmd_eval_outputs(tmp_path):
-    labels = derive_scan_labels(_records())
+    labels = derive_scan_labels(_patients())
     labels_csv = tmp_path / "labels.csv"
     write_labels_csv(labels_csv, labels)
     preds = _perfect_predictions(labels)
@@ -440,7 +503,7 @@ def test_cmd_eval_outputs(tmp_path):
 
 
 def test_cmd_eval_mcnemar_and_mismatch(tmp_path):
-    labels = derive_scan_labels(_records())
+    labels = derive_scan_labels(_patients())
     labels_csv = tmp_path / "labels.csv"
     write_labels_csv(labels_csv, labels)
     preds = _perfect_predictions(labels)
@@ -458,7 +521,7 @@ def test_cmd_eval_mcnemar_and_mismatch(tmp_path):
 
 
 def test_cmd_km(tmp_path):
-    labels = derive_scan_labels(_records())
+    labels = derive_scan_labels(_patients())
     labels_csv = tmp_path / "labels.csv"
     write_labels_csv(labels_csv, labels)
     out = tmp_path / "km.csv"

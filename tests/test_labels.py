@@ -1,40 +1,43 @@
+import math
+
 import numpy as np
 import pytest
 
-from cfpt.labels import (
-    LabelTable,
-    PatientRecord,
-    derive_scan_labels,
-    effective_biopsy_time,
-    validate_record,
+from cfpt.labels import LabelTable, PatientTable, derive_scan_labels
+from helpers import (
+    Record,
+    check_label_invariants,
+    patient_table,
+    random_patient_record,
+    table_columns,
 )
-from helpers import check_label_invariants, random_patient_record, table_columns
 
 
 def test_biopsy_time_passthrough():
-    rec = PatientRecord("a", (0.0, 1.0, 2.0), True, diagnosis_time=1.7)
-    assert effective_biopsy_time(rec) == 1.7
+    labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.0, 2.0), True, 1.7)))
+    assert labels.t_d.tolist() == [1.7 - t for t in (0.0, 1.0, 2.0)]
 
 
 def test_biopsy_time_falls_back_to_last_scan():
-    rec = PatientRecord("a", (0.0, 1.0, 2.0), True)
-    assert effective_biopsy_time(rec) == 2.0
+    labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.0, 2.0), True)))
+    assert labels.t_d.tolist() == [2.0, 1.0, 0.0]
+    assert labels.y.tolist() == [0, 0, 1]
 
 
 def test_biopsy_time_single_scan():
-    rec = PatientRecord("a", (0.5,), True)
-    assert effective_biopsy_time(rec) == 0.5
+    labels = derive_scan_labels(patient_table(Record("a", (0.5,), True)))
+    assert labels.t_d.tolist() == [0.0]
+    assert labels.y.tolist() == [1]
 
 
 def test_biopsy_time_rejects_noncancer():
-    rec = PatientRecord("a", (0.0, 1.0), False)
-    with pytest.raises(ValueError):
-        effective_biopsy_time(rec)
+    # a never-diagnosed patient has no biopsy time, so a diagnosis is an error
+    with pytest.raises(ValueError, match="diagnosis_time present for non-cancer patient"):
+        derive_scan_labels(patient_table(Record("a", (0.0, 1.0), False, 0.5)))
 
 
 def test_noncancer_labels():
-    rec = PatientRecord("a", (0.0, 1.0, 2.0), False)
-    labels = derive_scan_labels([rec])
+    labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.0, 2.0), False)))
     assert labels.t_d.tolist() == [3.0, 2.0, 1.0]
     assert labels.p.tolist() == [0, 0, 0]
     assert labels.y.tolist() == [0, 0, 0]
@@ -42,107 +45,179 @@ def test_noncancer_labels():
 
 
 def test_cancer_labels_diagnosis_after_last_scan():
-    rec = PatientRecord("a", (0.0, 1.5), True, diagnosis_time=2.0)
-    labels = derive_scan_labels([rec])
+    labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.5), True, diagnosis_time=2.0)))
     assert labels.t_d.tolist() == [2.0, 0.5]
     assert labels.y.tolist() == [0, 1]
     assert not labels.right_censored.any()
 
 
 def test_cancer_labels_with_post_diagnosis_scan():
-    rec = PatientRecord("a", (0.0, 1.0, 3.0), True, diagnosis_time=2.0)
-    labels = derive_scan_labels([rec])
+    labels = derive_scan_labels(
+        patient_table(Record("a", (0.0, 1.0, 3.0), True, diagnosis_time=2.0))
+    )
     assert labels.t_d.tolist() == [2.0, 1.0, -1.0]
     assert labels.y.tolist() == [0, 1, 1]
 
 
 def test_cancer_labels_missing_diagnosis_uses_last_scan():
-    rec = PatientRecord("a", (0.0, 1.0), True)
-    labels = derive_scan_labels([rec])
+    labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.0), True)))
     assert labels.t_d.tolist() == [1.0, 0.0]
     assert labels.y.tolist() == [0, 1]
 
 
 def test_scan_exactly_at_biopsy_time_is_malignant():
-    rec = PatientRecord("a", (0.0, 2.0), True, diagnosis_time=2.0)
-    labels = derive_scan_labels([rec])
+    labels = derive_scan_labels(patient_table(Record("a", (0.0, 2.0), True, diagnosis_time=2.0)))
     assert labels.y.tolist() == [0, 1]
     assert labels.t_d[1] == 0.0
 
 
 def test_all_scans_after_diagnosis_all_malignant():
-    rec = PatientRecord("a", (1.0, 2.0), True, diagnosis_time=0.5)
-    labels = derive_scan_labels([rec])
+    labels = derive_scan_labels(patient_table(Record("a", (1.0, 2.0), True, diagnosis_time=0.5)))
     assert labels.y.tolist() == [1, 1]
     assert (labels.t_d < 0).all()
 
 
 def test_explicit_scan_ids_are_kept():
-    rec = PatientRecord("a", (0.0, 1.0), False, scan_ids=("x1", "x2"))
-    labels = derive_scan_labels([rec])
+    patients = PatientTable(["a", "a"], [False] * 2, [math.nan] * 2, ["x1", "x2"], [0.0, 1.0])
+    labels = derive_scan_labels(patients)
     assert labels.scan_ids == ["x1", "x2"]
+    assert labels.patient_ids == ["a", "a"]
 
 
-def test_generated_scan_ids_are_unique_and_ordered():
-    rec = PatientRecord("pt", (0.0, 1.0, 2.0), False)
-    ids = derive_scan_labels([rec]).scan_ids
-    assert len(set(ids)) == 3
-    assert ids == sorted(ids)
+def test_patient_table_columns_must_match():
+    with pytest.raises(ValueError, match="PatientTable columns must have matching lengths"):
+        PatientTable(["a", "a"], [False], [math.nan] * 2, ["x1", "x2"], [0.0, 1.0])
 
 
 def test_validate_record_accepts_valid():
-    rec = PatientRecord("a", (0.0, 1.0), True, diagnosis_time=0.5)
-    assert validate_record(rec) == []
+    labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.0), True, diagnosis_time=0.5)))
+    assert len(labels) == 2
 
 
 def test_validate_record_flags_unsorted():
-    rec = PatientRecord("a", (1.0, 0.0), False)
-    assert any("strictly increasing" in v for v in validate_record(rec))
+    with pytest.raises(ValueError, match="invalid record 'a': scan_times not strictly increasing"):
+        derive_scan_labels(patient_table(Record("a", (1.0, 0.0), False)))
 
 
 def test_validate_record_flags_duplicate_times():
-    rec = PatientRecord("a", (1.0, 1.0), False)
-    assert any("strictly increasing" in v for v in validate_record(rec))
+    with pytest.raises(ValueError, match="scan_times not strictly increasing"):
+        derive_scan_labels(patient_table(Record("a", (1.0, 1.0), False)))
 
 
 def test_validate_record_flags_diagnosis_on_noncancer():
-    rec = PatientRecord("a", (0.0, 1.0), False, diagnosis_time=2.0)
-    assert any("diagnosis_time" in v for v in validate_record(rec))
-
-
-def test_validate_record_flags_empty():
-    rec = PatientRecord("a", (), False)
-    assert any("empty" in v for v in validate_record(rec))
+    with pytest.raises(ValueError, match="diagnosis_time"):
+        derive_scan_labels(patient_table(Record("a", (0.0, 1.0), False, diagnosis_time=2.0)))
 
 
 def test_derive_rejects_invalid_record():
     with pytest.raises(ValueError):
-        derive_scan_labels([PatientRecord("a", (1.0, 0.0), False)])
-    with pytest.raises(ValueError):
-        derive_scan_labels([PatientRecord("a", (), False)])
+        derive_scan_labels(patient_table(Record("a", (1.0, 0.0), False)))
     # in a cohort, the error names the invalid patient
-    good = PatientRecord("ok", (0.0, 1.0), False)
+    cohort = patient_table(
+        Record("ok", (0.0, 1.0), False),
+        Record("bad", (1.0, 1.0), True),
+        Record("ok2", (0.0,), False),
+    )
     with pytest.raises(ValueError, match="invalid record 'bad'"):
-        derive_scan_labels([good, PatientRecord("bad", (1.0, 1.0), True), good])
+        derive_scan_labels(cohort)
+
+
+def _table(rows):
+    """A PatientTable of ``(patient_id, is_cancer, diagnosis_time, scan_id, scan_time)`` rows."""
+    return PatientTable(*map(list, zip(*rows)))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # b's rows are split by a's
+        ([("b", 0, math.nan, "s0", 0.0), ("a", 0, math.nan, "s1", 0.0),
+          ("b", 0, math.nan, "s2", 1.0)],
+         "invalid record 'b': rows not contiguous$"),
+        # a scan id shared by two patients names the patient of its second row
+        ([("a", 0, math.nan, "s0", 0.0), ("b", 0, math.nan, "s0", 0.0)],
+         "invalid record 'b': scan_id repeats an earlier row$"),
+        ([("a", 1, 2.0, "s0", 0.0), ("a", 0, 2.0, "s1", 1.0)],
+         "invalid record 'a': rows disagree on is_cancer or diagnosis_time; "
+         "diagnosis_time present for non-cancer patient$"),
+        ([("a", 1, 2.0, "s0", 0.0), ("a", 1, math.nan, "s1", 1.0)],
+         "invalid record 'a': rows disagree on is_cancer or diagnosis_time$"),
+        ([("a", 1, math.inf, "s0", 0.0)], "invalid record 'a': diagnosis_time is infinite$"),
+        ([("a", 0, math.nan, "s0", 0.0), ("a", 0, math.nan, "s1", math.nan)],
+         "invalid record 'a': scan_times contains non-finite values$"),
+        # every problem of the named patient is listed, and only its own
+        ([("ok", 0, math.nan, "s0", 0.0), ("z", 0, -math.inf, "s1", math.inf),
+          ("z", 0, -math.inf, "s2", 0.0), ("y", 0, 1.0, "s3", 0.0)],
+         "invalid record 'z': scan_times contains non-finite values; "
+         "scan_times not strictly increasing; diagnosis_time present for non-cancer patient; "
+         "diagnosis_time is infinite$"),
+    ],
+)
+def test_derive_rejects_a_broken_table_naming_its_first_patient(rows, message):
+    with pytest.raises(ValueError, match=message):
+        derive_scan_labels(_table(rows))
+
+
+def test_derive_names_the_broken_patient_in_a_random_cohort():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        records = [random_patient_record(rng, pid=f"r{i}") for i in range(int(rng.integers(2, 8)))]
+        table = patient_table(*records)
+        columns = [list(table.patient_ids), table.is_cancer.tolist(),
+                   table.diagnosis_time.tolist(), list(table.scan_ids), table.scan_times.tolist()]
+        pid, cancer, diagnosis, sid, times = columns
+        kind = trial % 6
+        starts = [i for i in range(len(pid)) if i == 0 or pid[i] != pid[i - 1]]
+        later = [i for i in range(len(pid)) if i not in starts]  # rows with an earlier own row
+        if kind == 0:  # a scan time that is not finite
+            row = int(rng.integers(len(pid)))
+            times[row] = [math.nan, math.inf, -math.inf][trial // 6 % 3]
+        elif kind == 1:  # a scan id of an earlier row
+            row = int(rng.integers(1, len(pid)))
+            sid[row] = sid[int(rng.integers(row))]
+        elif kind == 3:  # a diagnosis on a never-diagnosed patient, or an infinite one
+            row = int(rng.integers(len(pid)))
+            own = [i for i in range(len(pid)) if pid[i] == pid[row]]
+            for i in own:
+                diagnosis[i] = math.inf if cancer[i] else 1.0
+        elif not later:
+            continue
+        elif kind == 2:  # a later row of a patient other than the last moved to the end
+            row = later[int(rng.integers(len(later)))]
+            if row > starts[-1]:
+                continue
+            for column in columns:
+                column.append(column.pop(row))
+            row = len(pid) - 1
+        elif kind == 4:  # scan times out of order
+            row = later[int(rng.integers(len(later)))]
+            times[row - 1], times[row] = times[row], times[row - 1]
+        else:  # a row that disagrees with its patient's first row
+            row = later[int(rng.integers(len(later)))]
+            cancer[row] = not cancer[row]
+        with pytest.raises(ValueError, match=f"^invalid record '{pid[row]}': "):
+            derive_scan_labels(PatientTable(*columns))
+    # every untouched random cohort is valid
+    assert len(derive_scan_labels(patient_table(*records))) == len(table)
 
 
 def test_random_records_satisfy_invariants():
     rng = np.random.default_rng(7)
     for _ in range(300):
         rec = random_patient_record(rng)
-        labels = derive_scan_labels([rec])
+        labels = derive_scan_labels(patient_table(rec))
         check_label_invariants(rec, labels)
-        assert table_columns(derive_scan_labels([rec])) == table_columns(labels)  # idempotent
+        assert table_columns(derive_scan_labels(patient_table(rec))) == table_columns(labels)
 
 
 def test_cohort_derivation_equals_concatenated_single_records():
     rng = np.random.default_rng(8)
     records = [random_patient_record(rng, pid=f"r{i}") for i in range(400)]
     # diagnosis exactly at a scan, and at -0.0 on a scan at +0.0
-    records.append(PatientRecord("edge1", (0.0, 1.0, 2.0), True, diagnosis_time=1.0))
-    records.append(PatientRecord("edge2", (0.0, 1.0), True, diagnosis_time=-0.0))
-    singles = [derive_scan_labels([rec]) for rec in records]
-    whole = derive_scan_labels(records)
+    records.append(Record("edge1", (0.0, 1.0, 2.0), True, diagnosis_time=1.0))
+    records.append(Record("edge2", (0.0, 1.0), True, diagnosis_time=-0.0))
+    singles = [derive_scan_labels(patient_table(rec)) for rec in records]
+    whole = derive_scan_labels(patient_table(*records))
     concatenated = LabelTable(
         *([x for table in singles for x in getattr(table, name)]
           for name in ("scan_ids", "patient_ids")),
@@ -150,4 +225,4 @@ def test_cohort_derivation_equals_concatenated_single_records():
           for name in ("t_d", "p", "y", "right_censored")),
     )
     assert table_columns(whole) == table_columns(concatenated)
-    assert len(derive_scan_labels([])) == 0
+    assert len(derive_scan_labels(patient_table())) == 0

@@ -244,3 +244,8 @@ def test_loss_config_validation():
         LossConfig(lam=-0.1)
     with pytest.raises(ValueError):
         LossConfig(epsilon=float("nan"))
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            LossConfig(epsilon=value)
+        with pytest.raises(ValueError, match="lam"):
+            LossConfig(lam=value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from cfpt.labels import derive_scan_labels, validate_record
+from cfpt.labels import derive_scan_labels
 from cfpt.metrics import roc_auc
 from cfpt.simulate import (
     REFERENCE_ONSET_SCALE,
@@ -12,6 +12,7 @@ from cfpt.simulate import (
     generate_cohort,
     reference_cohort_config,
 )
+from helpers import Record, patient_table, records_of, table_columns
 
 
 def _small_cfg(**kw):
@@ -37,21 +38,25 @@ def test_config_validation():
         CohortConfig(noise_sd=-0.1)
     with pytest.raises(ValueError):
         CohortConfig(noise_sd=float("nan"))
+    for name in ("scan_interval", "study_horizon", "onset_scale", "onset_shape", "risk_coeff",
+                 "progression_gain"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                CohortConfig(**{name: value})
 
 
 def test_schedule_without_dropout():
-    records, (scan_ids, features), _ = generate_cohort(_small_cfg(dropout_prob=0.0))
-    for rec in records:
+    patients, (scan_ids, features), _ = generate_cohort(_small_cfg(dropout_prob=0.0))
+    for rec in records_of(patients):
         assert rec.scan_times == tuple(float(k) for k in range(7))
-        assert len(rec.scan_ids) == 7
-    assert len(scan_ids) == len(features) == 7 * 200
+    assert len(patients) == len(scan_ids) == len(features) == 7 * 200
 
 
 def test_schedule_respects_interval_and_horizon():
-    records, _, _ = generate_cohort(
+    patients, _, _ = generate_cohort(
         _small_cfg(scan_interval=0.5, study_horizon=2.0, dropout_prob=0.0)
     )
-    for rec in records:
+    for rec in records_of(patients):
         assert rec.scan_times == (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
@@ -59,23 +64,24 @@ def test_generate_deterministic():
     cfg = _small_cfg(seed=123)
     r1, f1, o1 = generate_cohort(cfg)
     r2, f2, o2 = generate_cohort(cfg)
-    assert r1 == r2
+    assert table_columns(r1) == table_columns(r2)
     assert o1 == o2
     assert f1[0] == f2[0]
     assert f1[1].tobytes() == f2[1].tobytes()
     r3, _, _ = generate_cohort(_small_cfg(seed=124))
-    assert r3 != r1
+    assert table_columns(r3) != table_columns(r1)
 
 
 def test_feature_table_matches_scan_ids():
-    records, (scan_ids, features), onsets = generate_cohort(_small_cfg())
-    assert scan_ids == [sid for rec in records for sid in rec.scan_ids]
-    assert sorted(onsets) == sorted(rec.patient_id for rec in records)
+    patients, (scan_ids, features), onsets = generate_cohort(_small_cfg())
+    assert scan_ids == patients.scan_ids
+    assert sorted(onsets) == sorted(set(patients.patient_ids))
     assert features.shape == (len(scan_ids), _small_cfg().feature_dim + 1)
 
 
 def test_diagnosis_is_first_scan_at_or_after_onset():
-    records, _, onsets = generate_cohort(_small_cfg(n_patients=400))
+    patients, _, onsets = generate_cohort(_small_cfg(n_patients=400))
+    records = records_of(patients)
     n_cancer = 0
     for rec in records:
         onset = onsets[rec.patient_id]
@@ -94,27 +100,28 @@ def test_diagnosis_is_first_scan_at_or_after_onset():
 
 
 def test_generator_output_valid_for_label_derivation():
-    records, _, _ = generate_cohort(_small_cfg(n_patients=300, seed=9))
-    for rec in records:
-        assert validate_record(rec) == []
-        labels = derive_scan_labels([rec])
-        assert len(labels) == len(rec.scan_times)
+    patients, _, _ = generate_cohort(_small_cfg(n_patients=300, seed=9))
+    labels = derive_scan_labels(patients)  # raises on an invalid table
+    assert len(labels) == len(patients)
+    for rec in records_of(patients):
+        assert all(a < b for a, b in zip(rec.scan_times, rec.scan_times[1:]))
+        assert len(derive_scan_labels(patient_table(rec))) == len(rec.scan_times)
 
 
 def test_progression_channel_carries_signal():
-    records, (_, features), _ = generate_cohort(_small_cfg(n_patients=500, seed=2))
-    # features and labels are both in record order
-    auc, _ = roc_auc(features[:, -1], derive_scan_labels(records).y)
+    patients, (_, features), _ = generate_cohort(_small_cfg(n_patients=500, seed=2))
+    # features and labels are both in the patient table's row order
+    auc, _ = roc_auc(features[:, -1], derive_scan_labels(patients).y)
     assert auc > 0.75
 
 
 def test_null_cohort_has_no_signal():
     cfg = _small_cfg(n_patients=600, risk_coeff=0.0, progression_gain=0.0, seed=3)
-    records, (_, features), _ = generate_cohort(cfg)
+    patients, (_, features), _ = generate_cohort(cfg)
     w = np.ones(cfg.feature_dim) / np.sqrt(cfg.feature_dim)
     channel = features[:, -1]
     risk = features[:, : cfg.feature_dim] @ w
-    y = derive_scan_labels(records).y
+    y = derive_scan_labels(patients).y
     auc_channel, _ = roc_auc(channel, y)
     auc_risk, _ = roc_auc(risk, y)
     assert abs(auc_channel - 0.5) < 0.06
@@ -125,8 +132,8 @@ def test_null_cohort_trained_classifier_near_chance():
     from cfpt.model import ModelConfig, TrainConfig, build_dataset, predict, train
 
     cfg = _small_cfg(n_patients=300, risk_coeff=0.0, progression_gain=0.0, seed=4)
-    records, features, _ = generate_cohort(cfg)
-    ds = build_dataset(derive_scan_labels(records), features)
+    patients, features, _ = generate_cohort(cfg)
+    ds = build_dataset(derive_scan_labels(patients), features)
     pats = ds.patients()
     tr = ds.subset_patients(pats[:180])
     va = ds.subset_patients(pats[180:240])
@@ -146,14 +153,16 @@ def test_risk_coupling_monotone_in_risk_coeff():
     corrs = []
     for coeff in (0.0, 0.5, 1.0):
         cfg = _small_cfg(n_patients=800, risk_coeff=coeff, seed=6)
-        records, (scan_ids, features), onsets = generate_cohort(cfg)
-        row = {sid: i for i, sid in enumerate(scan_ids)}
+        patients, (_, features), onsets = generate_cohort(cfg)
+        first_row = {}
+        for i, pid in enumerate(patients.patient_ids):
+            first_row.setdefault(pid, i)
         w = np.ones(cfg.feature_dim) / np.sqrt(cfg.feature_dim)
         risk, onset = [], []
-        for rec in records:
+        for rec in records_of(patients):
             if not rec.is_cancer:
                 continue
-            x = features[row[rec.scan_ids[0]], : cfg.feature_dim]
+            x = features[first_row[rec.patient_id], : cfg.feature_dim]
             risk.append(float(w @ x))
             onset.append(onsets[rec.patient_id])
         corrs.append(float(spearmanr(risk, onset).statistic))
@@ -164,10 +173,7 @@ def test_risk_coupling_monotone_in_risk_coeff():
 
 
 def test_summary_counts():
-    from cfpt.labels import PatientRecord
-
-    rec = PatientRecord("q0", (0.0, 1.0, 2.0), False)
-    s = cohort_summary([rec])
+    s = cohort_summary(patient_table(Record("q0", (0.0, 1.0, 2.0), False)))
     assert s.n_patients == 1
     assert s.n_scans == 3
     assert s.n_cancer_patients == 0
@@ -175,19 +181,20 @@ def test_summary_counts():
     assert s.censored_fraction == 1.0
     assert s.scans_per_patient == {3: 1}
     with pytest.raises(ValueError):
-        cohort_summary([])
+        cohort_summary(patient_table())
 
 
 def test_summary_reorder_invariant():
-    records, _, _ = generate_cohort(_small_cfg(seed=8))
-    s1 = cohort_summary(records)
-    s2 = cohort_summary(list(reversed(records)))
+    patients, _, _ = generate_cohort(_small_cfg(seed=8))
+    s1 = cohort_summary(patients)
+    s2 = cohort_summary(patient_table(*reversed(records_of(patients))))
     assert s1 == s2
 
 
 def test_summary_on_generated_cohort():
-    records, _, _ = generate_cohort(_small_cfg(seed=10))
-    s = cohort_summary(records)
+    patients, _, _ = generate_cohort(_small_cfg(seed=10))
+    records = records_of(patients)
+    s = cohort_summary(patients)
     assert s.n_patients == 200
     assert s.n_scans == sum(len(r.scan_times) for r in records)
     assert s.n_cancer_patients == sum(r.is_cancer for r in records)
@@ -200,8 +207,8 @@ def test_reference_config_hits_target_fraction():
     for seed in range(5):
         cfg = reference_cohort_config(seed)
         assert cfg.onset_scale == REFERENCE_ONSET_SCALE
-        records, _, _ = generate_cohort(cfg)
-        s = cohort_summary(records)
+        patients, _, _ = generate_cohort(cfg)
+        s = cohort_summary(patients)
         assert abs(s.cancer_fraction - cfg.cancer_fraction_target) <= 0.05, seed
 
 
@@ -210,7 +217,7 @@ def test_calibrate_onset_scale():
     scale = calibrate_onset_scale(cfg, lo=1.0, hi=100.0, iterations=25)
     from dataclasses import replace
 
-    records, _, _ = generate_cohort(replace(cfg, onset_scale=scale))
-    assert abs(cohort_summary(records).cancer_fraction - 0.3) <= 0.03
+    patients, _, _ = generate_cohort(replace(cfg, onset_scale=scale))
+    assert abs(cohort_summary(patients).cancer_fraction - 0.3) <= 0.03
     with pytest.raises(ValueError):
         calibrate_onset_scale(cfg, lo=90.0, hi=100.0)
