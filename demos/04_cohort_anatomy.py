@@ -27,7 +27,7 @@ cfg = reference_cohort_config(seed=0)
 patients, features, onsets = generate_cohort(cfg)
 s = cohort_summary(patients)
 print(f"reference cohort: {s.n_patients} patients, {s.n_scans} scans")
-print(f"cancer fraction {s.cancer_fraction:.3f} (target {cfg.cancer_fraction_target})")
+print(f"cancer fraction {s.cancer_fraction:.3f} (calibrated for 0.26)")
 print(f"censored scan fraction {s.censored_fraction:.3f}")
 counts = sorted(s.scans_per_patient.items())
 print("scans per patient:", ", ".join(f"{k}x{v}" for k, v in counts))
@@ -61,11 +61,11 @@ print(f"AUC of one risk covariate alone:  {roc_auc(covariate, y)[0]:.3f}")
 
 # --- hitting a target cancer rate ------------------------------------------------
 # The Weibull scale sets how often onset falls inside the study window.
-# calibrate_onset_scale bisects it for the config's requested cancer
-# fraction; the frozen reference scale was produced exactly this way.
+# calibrate_onset_scale bisects it for a requested cancer fraction; the
+# frozen reference scale was produced exactly this way.
 
-cal_cfg = CohortConfig(n_patients=400, cancer_fraction_target=0.40, seed=3)
-scale = calibrate_onset_scale(cal_cfg, lo=1.0, hi=100.0)
+cal_cfg = CohortConfig(n_patients=400, seed=3)
+scale = calibrate_onset_scale(cal_cfg, 0.40, lo=1.0, hi=100.0)
 check = cohort_summary(generate_cohort(
     CohortConfig(n_patients=400, seed=3, onset_scale=scale))[0])
 print(f"\nscale for a 40% cancer cohort: {scale:.2f} "

@@ -28,14 +28,14 @@ import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .labels import LabelTable, PatientTable, derive_scan_labels
 from .losses import LossConfig
-from .metrics import EvalReport, KMCurve, evaluate, km_estimate
+from .metrics import THRESHOLDS, EvalReport, KMCurve, evaluate, km_estimate
 from .model import ModelConfig, PredictionTable, TrainConfig, build_dataset, run_crossval
 from .simulate import CohortConfig, CohortSummary, cohort_summary, generate_cohort
 
@@ -70,7 +70,7 @@ class ExperimentConfig:
 
     mode: str = "multi_task"
     k_folds: int = 5
-    thresholds: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
+    thresholds: tuple[float, ...] = THRESHOLDS
     cohort: CohortConfig = field(default_factory=CohortConfig)
     hidden_dims: tuple[int, ...] = (64, 64)
     model_seed: int = 0
@@ -95,46 +95,40 @@ class ExperimentConfig:
             raise ConfigError("multi_task requires loss.lambda > 0")
 
 
-def _to_int_tuple(s: str) -> tuple[int, ...]:
-    s = s.strip()
-    return tuple(int(part) for part in s.split(",")) if s else ()
+def _to_tuple(item):
+    """The converter of comma-separated text to a tuple of ``item``s."""
+    return lambda s: tuple(map(item, s.split(","))) if s.strip() else ()
 
 
-def _to_float_tuple(s: str) -> tuple[float, ...]:
-    s = s.strip()
-    return tuple(float(part) for part in s.split(",")) if s else ()
+# field type -> converter of a setting's text
+_CONVERTERS = {
+    int: int, float: float, str: str,
+    tuple[int, ...]: _to_tuple(int), tuple[float, ...]: _to_tuple(float),
+}
+
+
+def _section_keys(section, cls) -> dict:
+    """A key per field of ``cls`` but the nested ``loss`` config; the field
+    ``lam`` is the key ``lambda``, a Python keyword."""
+    return {
+        f"{section}.{'lambda' if f.name == 'lam' else f.name}":
+            (section, f.name, _CONVERTERS[f.type])
+        for f in fields(cls) if f.name != "loss"
+    }
 
 
 # key -> (bucket, constructor kwarg, converter)
 _CONFIG_KEYS = {
     "mode": ("top", "mode", str),
     "k_folds": ("top", "k_folds", int),
-    "thresholds": ("top", "thresholds", _to_float_tuple),
+    "thresholds": ("top", "thresholds", _CONVERTERS[tuple[float, ...]]),
     "paths.labels": ("paths", "labels", str),
     "paths.scans": ("paths", "scans", str),
-    "cohort.n_patients": ("cohort", "n_patients", int),
-    "cohort.cancer_fraction_target": ("cohort", "cancer_fraction_target", float),
-    "cohort.feature_dim": ("cohort", "feature_dim", int),
-    "cohort.scan_interval": ("cohort", "scan_interval", float),
-    "cohort.study_horizon": ("cohort", "study_horizon", float),
-    "cohort.dropout_prob": ("cohort", "dropout_prob", float),
-    "cohort.onset_scale": ("cohort", "onset_scale", float),
-    "cohort.onset_shape": ("cohort", "onset_shape", float),
-    "cohort.risk_coeff": ("cohort", "risk_coeff", float),
-    "cohort.progression_gain": ("cohort", "progression_gain", float),
-    "cohort.noise_sd": ("cohort", "noise_sd", float),
-    "cohort.seed": ("cohort", "seed", int),
-    "model.hidden_dims": ("top", "hidden_dims", _to_int_tuple),
+    **_section_keys("cohort", CohortConfig),
+    "model.hidden_dims": ("top", "hidden_dims", _CONVERTERS[tuple[int, ...]]),
     "model.seed": ("top", "model_seed", int),
-    "train.max_epochs": ("train", "max_epochs", int),
-    "train.lr0": ("train", "lr0", float),
-    "train.lr_decay_factor": ("train", "lr_decay_factor", float),
-    "train.lr_decay_epochs": ("train", "lr_decay_epochs", _to_int_tuple),
-    "train.weight_decay": ("train", "weight_decay", float),
-    "train.batch_size": ("train", "batch_size", int),
-    "train.seed": ("train", "seed", int),
-    "loss.lambda": ("loss", "lam", float),
-    "loss.epsilon": ("loss", "epsilon", float),
+    **_section_keys("train", TrainConfig),
+    **_section_keys("loss", LossConfig),
 }
 
 
@@ -181,23 +175,17 @@ def build_experiment_config(kv: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
-    """Read a config file (defaults when ``path`` is None) and apply the
-    command-line ``--seed`` / ``--mode`` overrides."""
-    if path is None:
-        cfg = ExperimentConfig()
-    else:
+    """Read a config file (defaults when ``path`` is None) with the
+    command-line ``--seed`` / ``--mode`` overrides in place of its keys."""
+    kv = {}
+    if path is not None:
         with open(path, encoding="utf-8") as fh:
-            cfg = build_experiment_config(parse_config_text(fh.read()))
+            kv = parse_config_text(fh.read())
     if mode is not None:
-        cfg = replace(cfg, mode=mode)
+        kv["mode"] = mode
     if seed is not None:
-        cfg = replace(
-            cfg,
-            cohort=replace(cfg.cohort, seed=seed),
-            model_seed=seed,
-            train=replace(cfg.train, seed=seed),
-        )
-    return cfg
+        kv.update({key: str(seed) for key in _CONFIG_KEYS if key.endswith(".seed")})
+    return build_experiment_config(kv)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +442,9 @@ def cmd_synth(cfg: ExperimentConfig, out_dir) -> CohortSummary:
     """Generate the cohort and write patients/scans/truth CSVs."""
     os.makedirs(out_dir, exist_ok=True)
     patients, features, onsets = generate_cohort(cfg.cohort)
-    write_patients_csv(os.path.join(out_dir, "patients.csv"), patients)
+    # scans first: its writer refuses non-finite features before writing
     write_scans_csv(os.path.join(out_dir, "scans.csv"), features)
+    write_patients_csv(os.path.join(out_dir, "patients.csv"), patients)
     write_truth_csv(os.path.join(out_dir, "truth.csv"), onsets)
     return cohort_summary(patients)
 
@@ -497,9 +486,8 @@ def cmd_eval(
     predictions_csv,
     labels_csv,
     out_dir,
-    thresholds=(1.0, 2.0, 3.0, 4.0, 5.0),
+    thresholds=THRESHOLDS,
     predictions_b_csv=None,
-    operating_point: float = 0.5,
 ) -> EvalReport:
     """Full evaluation battery over pooled predictions; writes the report
     plus roc/km/scatter/threshold CSVs."""
@@ -508,9 +496,7 @@ def cmd_eval(
     preds_b = None
     if predictions_b_csv is not None:
         preds_b = read_predictions_csv(predictions_b_csv)
-    report = evaluate(
-        preds, labels, thresholds, operating_point=operating_point, predictions_b=preds_b
-    )
+    report = evaluate(preds, labels, thresholds, predictions_b=preds_b)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8", newline="") as fh:
         fh.write(report.to_text())
@@ -551,7 +537,7 @@ def _summary_lines(s: CohortSummary) -> list:
 
 
 def _run_synth(args) -> int:
-    cfg = load_experiment_config(args.config, args.seed, args.mode)
+    cfg = load_experiment_config(args.config, args.seed)
     summary = cmd_synth(cfg, args.out)
     for line in _summary_lines(summary):
         print(line)
@@ -578,7 +564,7 @@ def _run_crossval(args) -> int:
 
 
 def _run_eval(args) -> int:
-    cfg = load_experiment_config(args.config, None, None)
+    cfg = load_experiment_config(args.config)
     report = cmd_eval(
         args.predictions_csv,
         args.labels_csv,
@@ -614,10 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="experiment config file (flat dotted keys)")
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, default=None, help="override every seed in the config")
-        p.add_argument(
-            "--mode", choices=("single_task", "multi_task"), default=None,
-            help="override the config's objective mode",
-        )
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     common(p, "output directory for patients/scans/truth CSVs")
@@ -630,6 +612,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="patient-level k-fold training")
     common(p, "output directory for predictions/folds/history CSVs")
+    p.add_argument(
+        "--mode", choices=("single_task", "multi_task"), default=None,
+        help="override the config's objective mode",
+    )
     p.set_defaults(func=_run_crossval)
 
     p = sub.add_parser("eval", help="evaluation report from pooled predictions")

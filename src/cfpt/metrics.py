@@ -17,11 +17,16 @@ the region-1 + region-4 fraction of non-cancer scans, which by
 construction equals the plain fraction of those scans with ``P > T``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 from scipy.stats import binom, chi2
+
+# the default threshold grid (years) of the region analysis and threshold table
+THRESHOLDS = (1.0, 2.0, 3.0, 4.0, 5.0)
+# McNemar compares the classifiers' correctness at this probability
+OPERATING_POINT = 0.5
 
 
 @dataclass(frozen=True)
@@ -251,9 +256,7 @@ class EvalReport:
     threshold_rows: list[ThresholdRow]
     km: KMCurve
     n_km_excluded: int  # post-biopsy scans (negative t_d) left out of the KM fit
-    operating_point: float
     mcnemar_result: McNemarResult | None = None
-    notes: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
         """Render the report as one structured plain-text document."""
@@ -291,15 +294,12 @@ class EvalReport:
         if self.mcnemar_result is not None:
             m = self.mcnemar_result
             lines.append("")
-            lines.append(f"== mcnemar (operating point {self.operating_point:g}) ==")
+            lines.append(f"== mcnemar (operating point {OPERATING_POINT:g}) ==")
             lines.append(f"b (only A correct): {m.b}")
             lines.append(f"c (only B correct): {m.c}")
             lines.append(f"statistic: {m.statistic:.6f}")
             lines.append(f"p_value: {m.p_value:.6g}")
             lines.append(f"method: {m.method}")
-        for note in self.notes:
-            lines.append("")
-            lines.append(f"note: {note}")
         lines.append("")
         return "\n".join(lines)
 
@@ -326,8 +326,7 @@ def _rows_by_scan_id(predictions, labels) -> np.ndarray:
 def evaluate(
     predictions,
     labels,
-    thresholds=(1.0, 2.0, 3.0, 4.0, 5.0),
-    operating_point: float = 0.5,
+    thresholds=THRESHOLDS,
     predictions_b=None,
 ) -> EvalReport:
     """Assemble the full evaluation report over pooled predictions.
@@ -337,7 +336,7 @@ def evaluate(
     any order, and each labeled scan must be predicted exactly once.
     ``predictions_b``, when given, is a second prediction table over the
     same scans; the two are compared with McNemar's test on correctness at
-    the probability operating point.
+    ``OPERATING_POINT``.
 
     The Kaplan-Meier fit treats each scan as one observation of remaining
     time to diagnosis: time ``t_d`` with event ``p``. Post-biopsy scans
@@ -367,8 +366,8 @@ def evaluate(
     result = None
     if predictions_b is not None:
         y_hat_b = predictions_b.y_hat[_rows_by_scan_id(predictions_b, labels)]
-        correct_a = ((y_hat >= operating_point).astype(int) == y).astype(int)
-        correct_b = ((y_hat_b >= operating_point).astype(int) == y).astype(int)
+        correct_a = ((y_hat >= OPERATING_POINT).astype(int) == y).astype(int)
+        correct_b = ((y_hat_b >= OPERATING_POINT).astype(int) == y).astype(int)
         result = mcnemar(correct_a, correct_b)
 
     return EvalReport(
@@ -385,6 +384,5 @@ def evaluate(
         threshold_rows=rows,
         km=km,
         n_km_excluded=int(np.sum(~km_mask)),
-        operating_point=operating_point,
         mcnemar_result=result,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .labels import LabelTable
+from .labels import LabelTable, _check_lengths
 # crl, crl_grad and cel stay importable here for perfbench's tracer, which
 # wraps functions in the namespace of the module that calls them
 from .losses import LossConfig, cel, crl, crl_grad, fused_joint_loss  # noqa: F401
@@ -97,12 +97,7 @@ class ScanDataset:
     y: np.ndarray
 
     def __post_init__(self):
-        n = len(self.scan_ids)
-        if not (
-            len(self.patient_ids) == self.features.shape[0]
-            == len(self.t_d) == len(self.p) == len(self.y) == n
-        ):
-            raise ValueError("ScanDataset arrays must have matching lengths")
+        _check_lengths(self)
 
     def __len__(self):
         return len(self.scan_ids)
@@ -464,9 +459,7 @@ class PredictionTable:
         self.y_hat = np.asarray(self.y_hat, dtype=np.float64)
         self.t_pred = np.asarray(self.t_pred, dtype=np.float64)
         self.fold = np.asarray(self.fold, dtype=np.int64)
-        n = len(self.scan_ids)
-        if not len(self.y_hat) == len(self.t_pred) == len(self.fold) == n:
-            raise ValueError("PredictionTable columns must have matching lengths")
+        _check_lengths(self)
 
     def __len__(self):
         return len(self.scan_ids)

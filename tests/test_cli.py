@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,8 +95,11 @@ def test_build_experiment_config_full():
 
 
 def test_config_unknown_key_and_bad_value():
-    # the last two are settings that became constants
-    for key in ("train.momentum", "loss.prob_clamp", "train.init_reg_bias_to_mean"):
+    # the last three are settings that became constants or were removed
+    for key in (
+        "train.momentum", "loss.prob_clamp", "train.init_reg_bias_to_mean",
+        "cohort.cancer_fraction_target",
+    ):
         with pytest.raises(ConfigError, match="unknown config key"):
             build_experiment_config({key: "0.9"})
     with pytest.raises(ConfigError, match="train.lr0"):
@@ -126,6 +130,27 @@ def test_config_keys_name_fields_of_their_targets():
             assert name in {f.name for f in fields(targets[bucket])}, key
 
 
+def _setting_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("cohort", CohortConfig), ("train", TrainConfig), ("loss", LossConfig),
+])
+def test_every_section_field_is_a_key_that_parses_its_default(section, cls):
+    keys = {
+        name: (key, conv) for key, (bucket, name, conv) in _CONFIG_KEYS.items()
+        if bucket == section
+    }
+    names = [f.name for f in fields(cls) if f.name != "loss"]
+    assert sorted(keys) == sorted(names)
+    for f in fields(cls):
+        if f.name in keys:
+            key, conv = keys[f.name]
+            assert key == f"{section}.{'lambda' if f.name == 'lam' else f.name}"
+            assert conv(_setting_text(f.default)) == f.default, key
+
+
 def test_config_mode_invariants():
     single = build_experiment_config({"mode": "single_task", "loss.lambda": "0.5"})
     assert single.train.loss.lam == 0.0
@@ -151,6 +176,23 @@ def test_non_finite_float_setting_loads_or_is_one_config_error(tmp_path, capsys,
     elif key.startswith("cohort."):
         scan_ids, matrix = read_scans_csv(out / "scans.csv")
         assert len(scan_ids) == len(matrix) > 0
+
+
+def test_mode_override_replaces_the_configured_mode_before_validation(tmp_path, capsys):
+    # a single-task config with lambda 0.5 run as multi-task keeps lambda 0.5
+    cfg_path = _crossval_inputs(tmp_path, "mode = single_task\nloss.lambda = 0.5\n")
+    assert load_experiment_config(cfg_path).train.loss.lam == 0.0
+    assert load_experiment_config(cfg_path, mode="multi_task").train.loss.lam == 0.5
+    argv = ["crossval", "--config", str(cfg_path), "--mode", "multi_task"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0, capsys.readouterr().err
+
+
+def test_synth_has_no_mode_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--mode", "multi_task", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_experiment_config_overrides(tmp_path):
@@ -573,6 +615,29 @@ def test_main_success_and_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:io:")
 
 
+def test_main_synth_refused_features_leave_no_csv(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("cohort.n_patients = 10\ncohort.noise_sd = 1e308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:data: ")
+    assert list(out.glob("*.csv")) == []
+
+
+def test_main_synth_rejects_a_schedule_too_long_to_build(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "cohort.n_patients = 2\ncohort.dropout_prob = 0\ncohort.study_horizon = 1e12\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:config: study_horizon")
+    assert not out.exists()
+
+
 def test_main_label_rejects_scan_id_shared_by_two_patients(tmp_path, capsys):
     patients = tmp_path / "patients.csv"
     patients.write_text(
@@ -707,3 +772,29 @@ def test_main_seed_override_changes_output(tmp_path):
     main(["synth", "--config", str(cfg_path), "--out", str(c), "--seed", "99"])
     assert (a / "patients.csv").read_bytes() != (b / "patients.csv").read_bytes()
     assert (b / "patients.csv").read_bytes() == (c / "patients.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# bundled configs
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_smoke_config_round_trip(tmp_path, monkeypatch, capsys):
+    # the README's command-line round trip, paths relative to the work directory
+    monkeypatch.chdir(tmp_path)
+    smoke = str(CONFIGS / "smoke.cfg")
+    assert main(["synth", "--config", smoke, "--out", "data"]) == 0
+    assert main(["label", "data/patients.csv", "--out", "data/labels.csv"]) == 0
+    assert main(["crossval", "--config", smoke, "--out", "run"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "run/predictions.csv", "data/labels.csv", "--out", "report"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "auc: 0.940292", "wrote report and csv files to report",
+    ]
+
+
+def test_reference_config_loads():
+    cfg = load_experiment_config(CONFIGS / "reference.cfg")
+    assert cfg.cohort.n_patients == 1500
+    assert cfg.paths == {"labels": "data/labels.csv", "scans": "data/scans.csv"}

@@ -5,7 +5,7 @@ from scipy.stats import spearmanr
 from cfpt.labels import derive_scan_labels
 from cfpt.metrics import roc_auc
 from cfpt.simulate import (
-    REFERENCE_ONSET_SCALE,
+    MAX_SCAN_INTERVALS,
     CohortConfig,
     calibrate_onset_scale,
     cohort_summary,
@@ -25,11 +25,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CohortConfig(n_patients=0)
     with pytest.raises(ValueError):
-        CohortConfig(cancer_fraction_target=1.0)
-    with pytest.raises(ValueError):
         CohortConfig(scan_interval=0.0)
     with pytest.raises(ValueError):
         CohortConfig(study_horizon=0.5, scan_interval=1.0)
+    with pytest.raises(ValueError, match="study_horizon"):
+        CohortConfig(study_horizon=2.5 * MAX_SCAN_INTERVALS, scan_interval=2.0)
+    CohortConfig(study_horizon=2.0 * MAX_SCAN_INTERVALS, scan_interval=2.0)
     with pytest.raises(ValueError):
         CohortConfig(dropout_prob=1.0)
     with pytest.raises(ValueError):
@@ -206,18 +207,22 @@ def test_summary_on_generated_cohort():
 def test_reference_config_hits_target_fraction():
     for seed in range(5):
         cfg = reference_cohort_config(seed)
-        assert cfg.onset_scale == REFERENCE_ONSET_SCALE
+        assert cfg == CohortConfig(seed=seed)
+        assert cfg.onset_scale == 10.464
         patients, _, _ = generate_cohort(cfg)
         s = cohort_summary(patients)
-        assert abs(s.cancer_fraction - cfg.cancer_fraction_target) <= 0.05, seed
+        assert abs(s.cancer_fraction - 0.26) <= 0.05, seed
 
 
 def test_calibrate_onset_scale():
-    cfg = _small_cfg(n_patients=400, cancer_fraction_target=0.3, seed=12)
-    scale = calibrate_onset_scale(cfg, lo=1.0, hi=100.0, iterations=25)
+    cfg = _small_cfg(n_patients=400, seed=12)
+    scale = calibrate_onset_scale(cfg, 0.3, lo=1.0, hi=100.0, iterations=25)
     from dataclasses import replace
 
     patients, _, _ = generate_cohort(replace(cfg, onset_scale=scale))
     assert abs(cohort_summary(patients).cancer_fraction - 0.3) <= 0.03
     with pytest.raises(ValueError):
-        calibrate_onset_scale(cfg, lo=90.0, hi=100.0)
+        calibrate_onset_scale(cfg, 0.3, lo=90.0, hi=100.0)
+    for target in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="target"):
+            calibrate_onset_scale(cfg, target)
