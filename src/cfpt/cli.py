@@ -29,6 +29,7 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -72,8 +73,8 @@ class ExperimentConfig:
     k_folds: int = 5
     thresholds: tuple[float, ...] = THRESHOLDS
     cohort: CohortConfig = field(default_factory=CohortConfig)
-    hidden_dims: tuple[int, ...] = (64, 64)
-    model_seed: int = 0
+    hidden_dims: tuple[int, ...] = ModelConfig.hidden_dims
+    model_seed: int = ModelConfig.seed
     train: TrainConfig = field(default_factory=TrainConfig)
     paths: dict = field(default_factory=dict)
 
@@ -191,6 +192,8 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # CSV files
 #
+# A file is a header line and a line per row, its cells joined by commas; a
+# text cell holding a comma, quote, CR or LF is quoted, its quotes doubled.
 # Each file is its header and a kind per column:
 #   str     any text
 #   key     text that appears once in the file
@@ -228,10 +231,24 @@ _PARSE = {
     "int": (lambda cells: list(map(int, cells)), "not an integer: {!r}"),
 }
 
-# kind -> column of values to column of cells
+
+def _needs_quotes(text):
+    return any(map(text.__contains__, ',"\r\n'))
+
+
+def _text(values):
+    """Text cells, each one that holds a comma, quote, CR or LF quoted and its
+    quotes doubled; one search of the whole column finds none in most files."""
+    cells = list(map(str, values))
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
+
+
+# kind -> column of values to column of cells; a number never needs quotes
 _FORMAT = {
-    "str": lambda values: values,
-    "key": lambda values: values,
+    "str": _text,
+    "key": _text,
     "float": lambda values: map(repr, map(float, values)),
     "float?": lambda values: ["" if math.isnan(v) else repr(v) for v in map(float, values)],
     "bit": lambda values: map(("0", "1").__getitem__, values),
@@ -279,10 +296,33 @@ def _parse_column(path, name, kind, cells):
 
 
 def _load_csv(path) -> tuple:
-    """The header (None in an empty file) and data rows of a CSV file."""
+    """A CSV file's header (None in an empty file), the row number and width
+    of its first data row whose width is not the header's (None when there is
+    none), and, when there is none, its data columns."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        return next(reader, None), list(reader)
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the last line's terminator
+    if lines and "" not in lines and len(set(map(str.count, lines, repeat(",")))) == 1:
+        whole = ",".join(lines)
+        if '"' not in whole and "\r" not in whole:
+            # a row per line, a cell per comma and every row as wide as the
+            # header: one split of the whole file and a slice per column, so
+            # no list is built per row
+            n = lines[0].count(",") + 1
+            del lines  # before the split, which holds every cell at once
+            cells = whole.split(",")
+            return cells[:n], None, [cells[j::n] for j in range(n, 2 * n)]
+    # quoted cells, CR line ends, empty lines or rows of the wrong width
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return None, None, []
+    header, *body = rows
+    misfit = next(((i, len(r)) for i, r in enumerate(body, 2) if len(r) != len(header)), None)
+    if misfit:
+        return header, misfit, None
+    return header, None, [list(map(itemgetter(j), body)) for j in range(len(header))]
 
 
 def _read_csv(path, schema, loaded=None) -> list:
@@ -290,27 +330,34 @@ def _read_csv(path, schema, loaded=None) -> list:
     parsed by its kind; a bad row or cell fails naming its row and column.
     ``loaded`` is the file's :func:`_load_csv`, when the caller has it."""
     header = list(schema)
-    got, rows = _load_csv(path) if loaded is None else loaded
+    got, misfit, columns = _load_csv(path) if loaded is None else loaded
     if got is None:
         raise SchemaError(f"{path} row 1: missing header")
     if got != header:
         raise SchemaError(f"{path} row 1: expected header {','.join(header)}, got {','.join(got)}")
-    if set(map(len, rows)) - {len(header)}:
-        i, row = next((i, r) for i, r in enumerate(rows, 2) if len(r) != len(header))
-        raise SchemaError(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
+    if misfit:
+        raise SchemaError(f"{path} row {misfit[0]}: expected {len(header)} fields, got {misfit[1]}")
     return [
-        _parse_column(path, name, kind, list(map(itemgetter(j), rows)))
-        for j, (name, kind) in enumerate(schema.items())
+        _parse_column(path, name, kind, cells)
+        for (name, kind), cells in zip(schema.items(), columns)
     ]
 
 
 def _write_csv(path, schema, columns) -> None:
-    """Write ``columns`` of values, one per column of ``schema``, under its header."""
-    cells = (_FORMAT[kind](values) for kind, values in zip(schema.values(), columns))
+    """Write ``columns`` of values, one per column of ``schema``, under its
+    header: a line per row, its cells joined by commas."""
+    cells = [_FORMAT[kind](values) for kind, values in zip(schema.values(), columns)]
+    if len(cells) == 1:
+        # a row of one empty cell is written "", as csv writes it, not as an
+        # empty line, which reads back as a row of no cells
+        cells = [['""' if c == "" else c for c in cells[0]]]
+    rows = map(",".join, zip(*cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(schema)
-        w.writerows(zip(*cells))
+        fh.write(",".join(schema) + "\n")
+        # a write per block of rows: one join of a block costs less than a
+        # newline added to each row, and no file is ever held whole
+        while block := list(islice(rows, 1024)):
+            fh.write("\n".join(block) + "\n")
 
 
 def write_patients_csv(path, patients: PatientTable) -> None:

@@ -1,3 +1,5 @@
+import csv
+import math
 import multiprocessing
 import os
 import re
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import cfpt.model
+from cfpt import cli
 from cfpt.cli import (
     _CONFIG_KEYS,
     ConfigError,
@@ -30,9 +33,9 @@ from cfpt.cli import (
     write_predictions_csv,
     write_scans_csv,
 )
-from cfpt.labels import PatientTable, derive_scan_labels
+from cfpt.labels import LabelTable, PatientTable, derive_scan_labels
 from cfpt.losses import LossConfig
-from cfpt.model import PredictionTable, TrainConfig
+from cfpt.model import ModelConfig, PredictionTable, TrainConfig
 from cfpt.simulate import CohortConfig
 from helpers import patient_table, table_columns
 
@@ -159,6 +162,12 @@ def test_config_mode_invariants():
     with pytest.raises(ConfigError):
         build_experiment_config({"mode": "dual"})
     assert ExperimentConfig().train.loss.lam == 0.5
+
+
+def test_experiment_config_takes_its_model_defaults_from_model_config():
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    cfg = ExperimentConfig()
+    assert (cfg.hidden_dims, cfg.model_seed) == (defaults["hidden_dims"], defaults["seed"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -400,6 +409,141 @@ def test_patients_csv_contradictory_rows(tmp_path):
     )
     with pytest.raises(SchemaError, match="row 3"):
         read_patients_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the CSV text core against the csv module it replaced
+
+_SCHEMAS = [
+    cli._PATIENTS, cli._LABELS, cli._PREDICTIONS, cli._TRUTH, cli._KM, cli._ROC,
+    cli._SCATTER, cli._THRESHOLDS, cli._HISTORY, cli._FOLDS,
+    {"scan_id": "key"},  # scans.csv with no features
+    {"scan_id": "key", "f0": "float", "f1": "float", "f2": "float"},
+]
+_PIECES = ["a", "B7", "", " ", ",", '"', "\n", "é", "日本"]
+_FINITE = [-0.0, 0.0, 5e-324, 1e16, 9.999999999999999e15, 1e-4, 9.9e-05, 0.1 + 0.2]
+
+
+def _random_floats(rng, n, specials=_FINITE):
+    """Random finite bit patterns, with ``specials`` at random places."""
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    bits[~np.isfinite(bits)] = 1.5
+    out = bits.tolist()
+    for i, v in zip(rng.permutation(n).tolist(), specials):
+        out[i] = v
+    return out
+
+
+def _random_column(rng, kind, n):
+    if kind in ("str", "key"):
+        return ["".join(rng.choice(_PIECES, size=rng.integers(0, 4))) for _ in range(n)]
+    if kind in ("float", "float?"):
+        values = _random_floats(rng, n, [*_FINITE, math.inf])  # inf: the ROC anchor
+        return values if kind == "float" else [
+            math.nan if rng.random() < 0.3 else v for v in values
+        ]
+    if kind == "bit":
+        return (rng.random(n) < 0.5).tolist()
+    return rng.integers(-10**6, 10**6, size=n).tolist()
+
+
+_CELL = {
+    "str": str, "key": str, "float": repr, "float?": lambda v: "" if math.isnan(v) else repr(v),
+    "bit": lambda v: "01"[v], "int": str,
+}
+
+
+@pytest.mark.parametrize("n", [0, 3, 2500])
+@pytest.mark.parametrize("schema", _SCHEMAS, ids=lambda schema: ",".join(schema))
+def test_writer_bytes_equal_csv_writer(tmp_path, schema, n):
+    rng = np.random.default_rng([61, n, len(schema)])
+    columns = [_random_column(rng, kind, n) for kind in schema.values()]
+    cli._write_csv(tmp_path / "text.csv", schema, columns)
+    with open(tmp_path / "csv.csv", "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(schema)
+        w.writerows(zip(*[map(_CELL[kind], col) for kind, col in zip(schema.values(), columns)]))
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
+
+_LABELS_HEADER = "scan_id,patient_id,t_d,p,y,right_censored"
+
+
+def test_writer_quotes_a_bare_cr(tmp_path):
+    # csv.writer with lineterminator "\n" leaves a lone CR bare, and its
+    # reader then ends the row there
+    path = tmp_path / "labels.csv"
+    labels = LabelTable(["a\rb", "c"], ["p\r", "p\r"], [1.0, 2.0], [0, 0], [0, 0], [1, 1])
+    write_labels_csv(path, labels)
+    assert path.read_bytes() == (
+        f"{_LABELS_HEADER}\n" '"a\rb","p\r",1.0,0,0,1\n' 'c,"p\r",2.0,0,0,1\n'
+    ).encode("utf-8")
+    assert table_columns(read_labels_csv(path)) == table_columns(labels)
+
+
+def _labels_of_rows(rows):
+    """The labels the csv module reads from ``rows``, parsed cell by cell."""
+    sids, pids, t_d, p, y, rc = map(list, zip(*rows)) if rows else [[]] * 6
+    return LabelTable(sids, pids, list(map(float, t_d)), list(map(int, p)), list(map(int, y)),
+                      [c == "1" for c in rc])
+
+
+@pytest.mark.parametrize("nl", ["\n", "\r\n"])
+@pytest.mark.parametrize("text, problem", [
+    ("{h}{nl}s0,pa,1.0,1,1,0{nl}s1,pb,-0.0,0,0,1{nl}", None),
+    ('{h}{nl}"s,0",pa,1.0,1,1,0{nl}"s""1","p{nl}b",2.0,0,0,1{nl}', None),
+    ("{h}{nl}s0,pa,1.0,1,1,0{nl}s1, pb ,2.0,0,0,1", None),  # no final line end
+    ("{h}{nl}", None),
+    ("{h}", None),
+    ("", "row 1: missing header"),
+    ("{nl}", "row 1: expected header " + _LABELS_HEADER + ", got "),
+    ("scan_id,patient_id{nl}s0,pa,1.0{nl}", "row 1: expected header " + _LABELS_HEADER
+     + ", got scan_id,patient_id"),
+    ("{h}{nl}s0,pa,1.0,1,1,0{nl}{nl}s1,pb,2.0,0,0,1{nl}", "row 3: expected 6 fields, got 0"),
+    ("{h}{nl}s0,pa,1.0,1,1,0{nl}{nl}", "row 3: expected 6 fields, got 0"),
+    ("{h}{nl}s0,pa,1.0,1,1{nl}s1,pb,2.0,0,0,1{nl}", "row 2: expected 6 fields, got 5"),
+    ("{h}{nl}s0,pa,1.0,1,1,0{nl}s1,pb,2.0,0,0,1,9{nl}", "row 3: expected 6 fields, got 7"),
+    # rows, not lines, are counted
+    ('{h}{nl}"s{nl}0",pa,1.0,1,1,0{nl}s1,pb,2.0,0,0{nl}', "row 3: expected 6 fields, got 5"),
+    ('{h}{nl}"s{nl}0",pa,1.0,1,1,0{nl}s1,pb,x,0,0,1{nl}',
+     "row 3: column t_d: not a finite number: 'x'"),
+])
+def test_labels_reader_reads_what_the_csv_module_reads(tmp_path, nl, text, problem):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(text.format(h=_LABELS_HEADER, nl=nl).encode("utf-8"))
+    if problem is not None:
+        with pytest.raises(SchemaError) as exc:
+            read_labels_csv(path)
+        assert str(exc.value) == f"{path} {problem}"
+        return
+    with open(path, encoding="utf-8", newline="") as fh:
+        _, *rows = csv.reader(fh)
+    assert table_columns(read_labels_csv(path)) == table_columns(_labels_of_rows(rows))
+
+
+def test_text_and_float_bits_round_trip(tmp_path):
+    rng = np.random.default_rng(83)
+    n = 400
+    alphabet = list('ab,"\r\n é')
+    words = ["".join(rng.choice(alphabet, size=rng.integers(0, 5))) for _ in range(n)]
+    assert all(any(ch in w for w in words) for ch in ',"\r\n')
+    scan_ids = [f"{w}#{i}" for i, w in enumerate(words)]
+    labels = LabelTable(
+        scan_ids, words[::-1], _random_floats(rng, n), rng.integers(0, 2, n),
+        rng.integers(0, 2, n), rng.random(n) < 0.5,
+    )
+    path, again = tmp_path / "labels.csv", tmp_path / "again.csv"
+    write_labels_csv(path, labels)
+    back = read_labels_csv(path)
+    assert table_columns(back) == table_columns(labels)
+    write_labels_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+    matrix = np.reshape(_random_floats(rng, 3 * n), (n, 3))
+    write_scans_csv(tmp_path / "scans.csv", (scan_ids, matrix))
+    back_ids, back_matrix = read_scans_csv(tmp_path / "scans.csv")
+    assert back_ids == scan_ids
+    assert back_matrix.tobytes() == matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +796,25 @@ def test_main_label_rejects_scan_id_shared_by_two_patients(tmp_path, capsys):
     assert err.startswith("error:schema:")
     assert f"{patients} row 3: column scan_id" in err
     assert not labels.exists()
+
+
+def test_main_label_and_km_keep_ids_that_need_quotes(tmp_path, capsys):
+    ids = {"p,1": ["s,0", 's"1'], 'p"2': ["s\r2", "s\n3"], "p\r\n3": ["s\r\n4", ""]}
+    rows = [
+        f"{_quoted(pid)},0,,{_quoted(sid)},{float(t)}"
+        for pid, sids in ids.items() for t, sid in enumerate(sids)
+    ]
+    patients, labels = tmp_path / "patients.csv", tmp_path / "labels.csv"
+    patients.write_bytes("\n".join([_CLEAN_CSV["patients.csv"][0], *rows, ""]).encode("utf-8"))
+    assert main(["label", str(patients), "--out", str(labels)]) == 0
+    assert main(["km", str(labels), "--out", str(tmp_path / "km.csv")]) == 0, capsys.readouterr().err
+    back = read_labels_csv(labels)
+    assert back.scan_ids == [sid for sids in ids.values() for sid in sids]
+    assert back.patient_ids == [pid for pid, sids in ids.items() for _ in sids]
+
+
+def _quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
 
 
 def test_main_crossval_nan_input_fails_before_training(tmp_path, capsys):
