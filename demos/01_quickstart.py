@@ -53,10 +53,11 @@ print(f"example malignant scan: {labels.scan_ids[i]}  t_d={labels.t_d[i]:.2f}  "
 # All scans of a patient stay on the same side of every split; pooled
 # out-of-fold predictions cover each labeled scan exactly once. The features
 # are a (scan_ids, matrix) pair; build_dataset joins them to the labels by
-# scan id.
+# scan id. The network's input width is the matrix's column count, so the
+# model config holds only the hidden layers and the seed.
 
 dataset = build_dataset(labels, features)
-mcfg = ModelConfig(input_dim=dataset.input_dim, hidden_dims=(16,), seed=0)
+mcfg = ModelConfig(hidden_dims=(16,), seed=0)
 tcfg = TrainConfig(max_epochs=40, lr_decay_epochs=(25, 35), batch_size=16,
                    loss=LossConfig(lam=0.5, epsilon=1.0), seed=0)
 result = run_crossval(dataset, mcfg, tcfg, k=3)

@@ -17,13 +17,13 @@ from cfpt import (
     cohort_summary,
     derive_scan_labels,
     generate_cohort,
-    reference_cohort_config,
     roc_auc,
 )
 
 # --- the reference cohort -----------------------------------------------------
+# CohortConfig's defaults are the reference cohort; only the seed varies.
 
-cfg = reference_cohort_config(seed=0)
+cfg = CohortConfig(seed=0)
 patients, features, onsets = generate_cohort(cfg)
 s = cohort_summary(patients)
 print(f"reference cohort: {s.n_patients} patients, {s.n_scans} scans")

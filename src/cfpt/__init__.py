@@ -43,7 +43,6 @@ from .model import (
     build_dataset,
     crossval_split,
     effective_lr,
-    forward,
     init_params,
     predict,
     run_crossval,
@@ -55,7 +54,6 @@ from .simulate import (
     calibrate_onset_scale,
     cohort_summary,
     generate_cohort,
-    reference_cohort_config,
 )
 
 __version__ = "0.1.0"
@@ -68,8 +66,8 @@ __all__ = [
     "threshold_table",
     "AdamState", "CrossvalResult", "FoldAssignment", "ModelConfig",
     "PredictionTable", "ScanDataset", "TrainConfig", "TrainHistory", "adam_step",
-    "backward", "build_dataset", "crossval_split", "effective_lr", "forward",
+    "backward", "build_dataset", "crossval_split", "effective_lr",
     "init_params", "predict", "run_crossval", "train",
     "CohortConfig", "CohortSummary", "calibrate_onset_scale", "cohort_summary",
-    "generate_cohort", "reference_cohort_config",
+    "generate_cohort",
 ]

@@ -37,7 +37,9 @@ import numpy as np
 from .labels import LabelTable, PatientTable, derive_scan_labels
 from .losses import LossConfig
 from .metrics import THRESHOLDS, EvalReport, KMCurve, evaluate, km_estimate
-from .model import ModelConfig, PredictionTable, TrainConfig, build_dataset, run_crossval
+from .model import (
+    ModelConfig, PredictionTable, TrainConfig, _feature_matrix, build_dataset, run_crossval,
+)
 from .simulate import CohortConfig, CohortSummary, cohort_summary, generate_cohort
 
 
@@ -73,8 +75,7 @@ class ExperimentConfig:
     k_folds: int = 5
     thresholds: tuple[float, ...] = THRESHOLDS
     cohort: CohortConfig = field(default_factory=CohortConfig)
-    hidden_dims: tuple[int, ...] = ModelConfig.hidden_dims
-    model_seed: int = ModelConfig.seed
+    model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     paths: dict = field(default_factory=dict)
 
@@ -108,26 +109,29 @@ _CONVERTERS = {
 }
 
 
+# fields that hold a nested config, each one a bucket of its own
+_NESTED = ("paths", "cohort", "model", "train", "loss")
+
+
 def _section_keys(section, cls) -> dict:
-    """A key per field of ``cls`` but the nested ``loss`` config; the field
+    """A key per field of ``cls`` but those holding a nested config, named
+    ``section.field``, or ``field`` for the ``top`` section; the field
     ``lam`` is the key ``lambda``, a Python keyword."""
+    prefix = "" if section == "top" else f"{section}."
     return {
-        f"{section}.{'lambda' if f.name == 'lam' else f.name}":
+        prefix + ("lambda" if f.name == "lam" else f.name):
             (section, f.name, _CONVERTERS[f.type])
-        for f in fields(cls) if f.name != "loss"
+        for f in fields(cls) if f.name not in _NESTED
     }
 
 
 # key -> (bucket, constructor kwarg, converter)
 _CONFIG_KEYS = {
-    "mode": ("top", "mode", str),
-    "k_folds": ("top", "k_folds", int),
-    "thresholds": ("top", "thresholds", _CONVERTERS[tuple[float, ...]]),
+    **_section_keys("top", ExperimentConfig),
     "paths.labels": ("paths", "labels", str),
     "paths.scans": ("paths", "scans", str),
     **_section_keys("cohort", CohortConfig),
-    "model.hidden_dims": ("top", "hidden_dims", _CONVERTERS[tuple[int, ...]]),
-    "model.seed": ("top", "model_seed", int),
+    **_section_keys("model", ModelConfig),
     **_section_keys("train", TrainConfig),
     **_section_keys("loss", LossConfig),
 }
@@ -154,7 +158,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_experiment_config(kv: dict) -> ExperimentConfig:
-    buckets = {"top": {}, "paths": {}, "cohort": {}, "train": {}, "loss": {}}
+    buckets = {"top": {}, **{name: {} for name in _NESTED}}
     for key, raw in kv.items():
         spec = _CONFIG_KEYS.get(key)
         if spec is None:
@@ -167,9 +171,9 @@ def build_experiment_config(kv: dict) -> ExperimentConfig:
     try:
         loss = LossConfig(**buckets["loss"])
         train = TrainConfig(loss=loss, **buckets["train"])
-        cohort = CohortConfig(**buckets["cohort"])
         return ExperimentConfig(
-            cohort=cohort, train=train, paths=buckets["paths"], **buckets["top"]
+            cohort=CohortConfig(**buckets["cohort"]), model=ModelConfig(**buckets["model"]),
+            train=train, paths=buckets["paths"], **buckets["top"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -397,9 +401,10 @@ def read_patients_csv(path) -> PatientTable:
 
 def write_scans_csv(path, features) -> None:
     """Write ``features``, a ``(scan_ids, matrix)`` pair, one row per scan
-    in the pair's order; the column count is the matrix's."""
-    scan_ids, matrix = features
-    matrix = np.asarray(matrix, dtype=np.float64)
+    in the pair's order; the column count is the matrix's. A matrix of
+    another shape than ``(len(scan_ids), d >= 1)``, or with a NaN or inf,
+    raises ValueError naming the file before it is opened."""
+    scan_ids, matrix = _feature_matrix(features, path)
     bad = ~np.isfinite(matrix)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -517,10 +522,7 @@ def cmd_crossval(cfg: ExperimentConfig, out_dir):
         raise SchemaError(str(exc)) from exc
     if len(ds) == 0:
         raise SchemaError(f"{cfg.paths['labels']}: no scans to train on")
-    mcfg = ModelConfig(
-        input_dim=ds.input_dim, hidden_dims=cfg.hidden_dims, seed=cfg.model_seed
-    )
-    result = run_crossval(ds, mcfg, cfg.train, cfg.k_folds)
+    result = run_crossval(ds, cfg.model, cfg.train, cfg.k_folds)
     os.makedirs(out_dir, exist_ok=True)
     write_predictions_csv(os.path.join(out_dir, "predictions.csv"), result.predictions)
     write_folds_csv(os.path.join(out_dir, "folds.csv"), result.folds)

@@ -36,14 +36,14 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_dim: int
+    """The trunk's hidden layer widths and the initialization seed; the
+    input width is the feature matrix's column count, not a setting."""
+
     hidden_dims: tuple[int, ...] = (64, 64)
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
 
@@ -150,12 +150,27 @@ class ScanDataset:
         )
 
 
+def _feature_matrix(features, what: str) -> tuple:
+    """``features``, a ``(scan_ids, matrix)`` pair, with the matrix as
+    float64; ValueError naming ``what`` and the shape unless the matrix is
+    2-d, with one row per scan id and at least one column."""
+    scan_ids, matrix = features
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != len(scan_ids) or matrix.shape[1] < 1:
+        raise ValueError(
+            f"{what}: expected a feature matrix with a row for each of {len(scan_ids)} "
+            f"scan ids and at least one column, got shape {matrix.shape}"
+        )
+    return scan_ids, matrix
+
+
 def build_dataset(labels: LabelTable, features) -> ScanDataset:
     """Join a :class:`LabelTable` to ``features``, a ``(scan_ids, matrix)``
     pair with one matrix row per scan, by scan id; label order is
-    preserved. A labeled scan without features, non-finite features or
-    t_d, and non-binary p or y raise ValueError naming the scan."""
-    scan_ids, matrix = features
+    preserved. A matrix of another shape raises ValueError naming it; a
+    labeled scan without features, non-finite features or t_d, and
+    non-binary p or y raise ValueError naming the scan."""
+    scan_ids, matrix = _feature_matrix(features, "features")
     row = dict(zip(scan_ids, range(len(scan_ids))))
     missing = [sid for sid in labels.scan_ids if sid not in row]
     if missing:
@@ -164,7 +179,7 @@ def build_dataset(labels: LabelTable, features) -> ScanDataset:
     ds = ScanDataset(
         list(labels.scan_ids),
         list(labels.patient_ids),
-        np.asarray(matrix, dtype=np.float64)[rows],
+        matrix[rows],
         labels.t_d.copy(),
         labels.p.copy(),
         labels.y.copy(),
@@ -177,8 +192,9 @@ def build_dataset(labels: LabelTable, features) -> ScanDataset:
 # parameters, forward, backward
 
 
-def init_params(cfg: ModelConfig, t_d_mean: float | None = None) -> dict:
-    """Deterministic fan-in-scaled uniform initialization.
+def init_params(cfg: ModelConfig, input_dim: int, t_d_mean: float | None = None) -> dict:
+    """Deterministic fan-in-scaled uniform initialization of a network
+    taking ``input_dim`` features.
 
     Weights are drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases start
     at zero, except the regression-head bias which is set to ``t_d_mean``
@@ -186,7 +202,7 @@ def init_params(cfg: ModelConfig, t_d_mean: float | None = None) -> dict:
     """
     rng = np.random.default_rng(cfg.seed)
     params = {}
-    fan_in = cfg.input_dim
+    fan_in = input_dim
     for i, h in enumerate(cfg.hidden_dims):
         bound = 1.0 / np.sqrt(fan_in)
         params[f"W{i}"] = rng.uniform(-bound, bound, size=(fan_in, h))
@@ -230,21 +246,6 @@ def _forward_blocked(params: dict, X: np.ndarray, rows: int):
     """
     blocks = [_forward_batch(params, X[i : i + rows])[:2] for i in range(0, len(X), rows)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def forward(params: dict, features) -> tuple[float, float]:
-    """Single-scan forward pass: (malignancy probability, predicted CFPT)."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward expects a single feature vector")
-    w0_key = "W0" if "W0" in params else "w_cls"
-    if x.shape[0] != params[w0_key].shape[0]:
-        raise ValueError(
-            f"feature length {x.shape[0]} does not match input dim "
-            f"{params[w0_key].shape[0]}"
-        )
-    y_hat, t_pred, _, _ = _forward_batch(params, x[None, :])
-    return float(y_hat[0]), float(t_pred[0])
 
 
 def _batch_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
@@ -388,12 +389,8 @@ def train(
         raise ValueError(
             f"patients appear in both train and validation: {sorted(overlap)[:5]}"
         )
-    if train_set.input_dim != mcfg.input_dim:
-        raise ValueError(
-            f"dataset feature dim {train_set.input_dim} != model input_dim {mcfg.input_dim}"
-        )
 
-    params = init_params(mcfg, t_d_mean=float(np.mean(train_set.t_d)))
+    params = init_params(mcfg, train_set.input_dim, t_d_mean=float(np.mean(train_set.t_d)))
     state = AdamState.for_params(params)
     rng = np.random.default_rng(tcfg.seed)
     n = len(train_set)

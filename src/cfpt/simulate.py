@@ -210,8 +210,3 @@ def calibrate_onset_scale(
         else:
             hi = mid
     return float(np.sqrt(lo * hi))
-
-
-def reference_cohort_config(seed: int = 0) -> CohortConfig:
-    """The frozen reference cohort configuration (vary only the seed)."""
-    return CohortConfig(seed=seed)

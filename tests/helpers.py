@@ -153,9 +153,9 @@ def random_network_instance(rng, n=5, input_dim=4, hidden=(6, 5)):
     """
     from cfpt.model import ModelConfig, init_params
 
-    cfg = ModelConfig(input_dim=input_dim, hidden_dims=hidden, seed=int(rng.integers(1 << 30)))
+    cfg = ModelConfig(hidden_dims=hidden, seed=int(rng.integers(1 << 30)))
     while True:
-        params = init_params(cfg, t_d_mean=float(rng.uniform(0, 3)))
+        params = init_params(cfg, input_dim, t_d_mean=float(rng.uniform(0, 3)))
         for k in params:
             params[k] = params[k] + rng.normal(0, 0.3, size=params[k].shape)
         X = rng.normal(0, 1.5, size=(n, input_dim))

@@ -35,7 +35,7 @@ from cfpt.metrics import (
     threshold_table,
 )
 from cfpt.model import ModelConfig, TrainConfig, backward, build_dataset, run_crossval
-from cfpt.simulate import generate_cohort, reference_cohort_config
+from cfpt.simulate import CohortConfig, generate_cohort
 from helpers import (
     Record,
     auc_pairwise_oracle,
@@ -319,13 +319,13 @@ def test_8_directional_multitask(capsys):
     aucs = {"multi": [], "single": []}
     mcnemar_p = None
     for seed in range(5):
-        records, features, _ = generate_cohort(reference_cohort_config(seed))
+        records, features, _ = generate_cohort(CohortConfig(seed=seed))
         labels = derive_scan_labels(records)
         ds = build_dataset(labels, features)
         y = labels.y
         preds = {}
         for name, lam in (("multi", 0.5), ("single", 0.0)):
-            mcfg = ModelConfig(input_dim=ds.input_dim, hidden_dims=(64, 64), seed=0)
+            mcfg = ModelConfig(hidden_dims=(64, 64), seed=0)
             tcfg = TrainConfig(loss=LossConfig(lam=lam, epsilon=1.0), seed=0)
             preds[name] = run_crossval(ds, mcfg, tcfg, k=5).predictions
             score = dict(zip(preds[name].scan_ids, preds[name].y_hat.tolist()))

@@ -88,8 +88,7 @@ def test_build_experiment_config_full():
     assert cfg.paths == {"labels": "a.csv", "scans": "b.csv"}
     assert cfg.cohort.n_patients == 77
     assert cfg.cohort.seed == 9
-    assert cfg.hidden_dims == (16, 8)
-    assert cfg.model_seed == 3
+    assert cfg.model == ModelConfig(hidden_dims=(16, 8), seed=3)
     assert cfg.train.max_epochs == 50
     assert cfg.train.lr0 == 2e-3
     assert cfg.train.lr_decay_epochs == (10, 20)
@@ -125,8 +124,8 @@ def test_config_keys_name_fields_of_their_targets():
     # a key left behind for a deleted field would raise TypeError, which
     # main reports as a traceback rather than error:config:
     targets = {
-        "top": ExperimentConfig, "cohort": CohortConfig, "train": TrainConfig,
-        "loss": LossConfig,
+        "top": ExperimentConfig, "cohort": CohortConfig, "model": ModelConfig,
+        "train": TrainConfig, "loss": LossConfig,
     }
     for key, (bucket, name, _) in _CONFIG_KEYS.items():
         if bucket != "paths":
@@ -138,19 +137,22 @@ def _setting_text(value):
 
 
 @pytest.mark.parametrize("section, cls", [
-    ("cohort", CohortConfig), ("train", TrainConfig), ("loss", LossConfig),
+    ("top", ExperimentConfig), ("cohort", CohortConfig), ("model", ModelConfig),
+    ("train", TrainConfig), ("loss", LossConfig),
 ])
 def test_every_section_field_is_a_key_that_parses_its_default(section, cls):
     keys = {
         name: (key, conv) for key, (bucket, name, conv) in _CONFIG_KEYS.items()
         if bucket == section
     }
-    names = [f.name for f in fields(cls) if f.name != "loss"]
+    nested = {"paths", "cohort", "model", "train", "loss"}
+    names = [f.name for f in fields(cls) if f.name not in nested]
     assert sorted(keys) == sorted(names)
+    prefix = "" if section == "top" else f"{section}."
     for f in fields(cls):
         if f.name in keys:
             key, conv = keys[f.name]
-            assert key == f"{section}.{'lambda' if f.name == 'lam' else f.name}"
+            assert key == prefix + ("lambda" if f.name == "lam" else f.name)
             assert conv(_setting_text(f.default)) == f.default, key
 
 
@@ -165,9 +167,7 @@ def test_config_mode_invariants():
 
 
 def test_experiment_config_takes_its_model_defaults_from_model_config():
-    defaults = {f.name: f.default for f in fields(ModelConfig)}
-    cfg = ExperimentConfig()
-    assert (cfg.hidden_dims, cfg.model_seed) == (defaults["hidden_dims"], defaults["seed"])
+    assert ExperimentConfig().model == ModelConfig()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -212,7 +212,7 @@ def test_load_experiment_config_overrides(tmp_path):
     assert cfg.train.loss.lam == 0.0
     assert cfg.cohort.seed == 42
     assert cfg.train.seed == 42
-    assert cfg.model_seed == 42
+    assert cfg.model.seed == 42
     plain = load_experiment_config(str(path))
     assert plain.cohort.seed == 1
     assert plain.train.seed == 2
@@ -298,6 +298,20 @@ def test_scans_csv_writer_refuses_non_finite_cells(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error:data: {out / 'scans.csv'} row ")
     assert not (out / "scans.csv").exists()
+
+
+@pytest.mark.parametrize("ids, shape", [
+    (["a", "b"], (2,)),  # not 2-d
+    (["a", "b"], (2, 0)),  # no feature column
+    (["a", "b", "c"], (2, 3)),  # a scan without a row
+    (["a", "b"], (3, 3)),  # a row without a scan
+])
+def test_scans_csv_writer_refuses_a_misshapen_matrix(tmp_path, ids, shape):
+    path = tmp_path / "scans.csv"
+    match = re.escape(f"{path}: ") + ".*" + re.escape(f"got shape {shape}")
+    with pytest.raises(ValueError, match=match):
+        write_scans_csv(path, (ids, np.ones(shape)))
+    assert not path.exists()
 
 
 def test_csv_schema_errors_name_rows(tmp_path):
@@ -738,7 +752,11 @@ def test_main_success_and_errors(tmp_path, capsys):
     bad.write_text("no.such.key = 1\n", encoding="utf-8")
     assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:config:")
-    for line in ("loss.prob_clamp = 1e-7\n", "train.init_reg_bias_to_mean = true\n"):
+    # removed settings, and the input width, which comes from the data
+    for line in (
+        "loss.prob_clamp = 1e-7\n", "train.init_reg_bias_to_mean = true\n",
+        "model.input_dim = 8\n",
+    ):
         bad.write_text(line, encoding="utf-8")
         assert main(["crossval", "--config", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:config: unknown config key")

@@ -108,7 +108,7 @@ def test_flat_adam_equals_per_key_loop(weight_decay):
 
 def test_blocked_forward_equals_whole_pass():
     rng = np.random.default_rng(54)
-    params = init_params(ModelConfig(input_dim=9, hidden_dims=(64, 64), seed=3), t_d_mean=2.0)
+    params = init_params(ModelConfig(hidden_dims=(64, 64), seed=3), 9, t_d_mean=2.0)
     for k in params:  # nonzero biases, so every term of each layer counts
         params[k] = params[k] + rng.normal(scale=0.1, size=params[k].shape)
     # row counts that are not multiples of the block; the larger ones cross

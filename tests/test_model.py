@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +12,13 @@ from cfpt.model import (
     ModelConfig,
     ScanDataset,
     TrainConfig,
+    _forward_batch,
     adam_step,
     backward,
     build_dataset,
     crossval_split,
     effective_lr,
     fold_seed,
-    forward,
     init_params,
     predict,
     run_crossval,
@@ -31,19 +32,19 @@ from helpers import random_network_instance
 
 
 def test_init_params_deterministic():
-    cfg = ModelConfig(input_dim=4, hidden_dims=(6, 5), seed=7)
-    a = init_params(cfg)
-    b = init_params(cfg)
+    cfg = ModelConfig(hidden_dims=(6, 5), seed=7)
+    a = init_params(cfg, 4)
+    b = init_params(cfg, 4)
     assert sorted(a) == sorted(b)
     for k in a:
         assert np.array_equal(a[k], b[k])
-    c = init_params(ModelConfig(input_dim=4, hidden_dims=(6, 5), seed=8))
+    c = init_params(ModelConfig(hidden_dims=(6, 5), seed=8), 4)
     assert any(not np.array_equal(a[k], c[k]) for k in a)
 
 
 def test_init_params_shapes_and_bias():
-    cfg = ModelConfig(input_dim=3, hidden_dims=(4,), seed=0)
-    params = init_params(cfg, t_d_mean=2.75)
+    cfg = ModelConfig(hidden_dims=(4,), seed=0)
+    params = init_params(cfg, 3, t_d_mean=2.75)
     assert params["W0"].shape == (3, 4)
     assert params["b0"].shape == (4,)
     assert params["w_cls"].shape == (4,)
@@ -56,28 +57,25 @@ def test_init_params_shapes_and_bias():
 
 
 def test_init_params_no_hidden_layers():
-    cfg = ModelConfig(input_dim=3, hidden_dims=(), seed=1)
-    params = init_params(cfg)
+    cfg = ModelConfig(hidden_dims=(), seed=1)
+    params = init_params(cfg, 3)
     assert set(params) == {"w_cls", "b_cls", "w_reg", "b_reg"}
     # heads act directly on the inputs
-    x = np.array([1.0, -2.0, 0.5])
-    y_hat, t_pred = forward(params, x)
+    X = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    y_hat, t_pred, _, _ = _forward_batch(params, X)
     from scipy.special import expit
 
-    assert y_hat == pytest.approx(float(expit(x @ params["w_cls"])), abs=1e-15)
-    assert t_pred == pytest.approx(float(x @ params["w_reg"]), abs=1e-15)
+    assert y_hat == pytest.approx(expit(X @ params["w_cls"]), abs=1e-15)
+    assert t_pred == pytest.approx(X @ params["w_reg"], abs=1e-15)
 
 
 def test_model_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(input_dim=0)
-    with pytest.raises(ValueError):
-        ModelConfig(input_dim=2, hidden_dims=(0,))
+        ModelConfig(hidden_dims=(0,))
 
 
 def _zero_params(input_dim, hidden):
-    cfg = ModelConfig(input_dim=input_dim, hidden_dims=hidden, seed=0)
-    params = init_params(cfg)
+    params = init_params(ModelConfig(hidden_dims=hidden, seed=0), input_dim)
     for k in params:
         params[k] = np.zeros_like(params[k])
     return params
@@ -85,17 +83,17 @@ def _zero_params(input_dim, hidden):
 
 def test_forward_zero_weights():
     params = _zero_params(3, (4,))
-    y_hat, t_pred = forward(params, [1.0, 2.0, 3.0])
-    assert y_hat == 0.5
-    assert t_pred == 0.0
+    y_hat, t_pred, _, _ = _forward_batch(params, np.array([[1.0, 2.0, 3.0]]))
+    assert y_hat.tolist() == [0.5]
+    assert t_pred.tolist() == [0.0]
 
 
 def test_forward_zero_weights_regression_bias():
     params = _zero_params(3, (4,))
     params["b_reg"] = np.array([3.5])
-    for x in ([0.0, 0.0, 0.0], [5.0, -1.0, 2.0], [100.0, 0.0, -3.0]):
-        _, t_pred = forward(params, x)
-        assert t_pred == 3.5
+    X = np.array([[0.0, 0.0, 0.0], [5.0, -1.0, 2.0], [100.0, 0.0, -3.0]])
+    _, t_pred, _, _ = _forward_batch(params, X)
+    assert t_pred.tolist() == [3.5, 3.5, 3.5]
 
 
 def test_forward_disjoint_heads():
@@ -105,20 +103,12 @@ def test_forward_disjoint_heads():
     params["W0"] = np.array([[1.0, 0.0], [0.0, 1.0]])
     params["w_cls"] = np.array([2.0, 0.0])
     params["w_reg"] = np.array([0.0, 1.5])
-    x = [3.0, 2.0]
-    y_hat_1, t_pred_1 = forward(params, x)
+    X = np.array([[3.0, 2.0]])
+    y_hat_1, t_pred_1, _, _ = _forward_batch(params, X)
     params["w_cls"] = np.array([4.0, 0.0])
-    y_hat_2, t_pred_2 = forward(params, x)
-    assert y_hat_2 != y_hat_1
-    assert t_pred_2 == t_pred_1 == 3.0
-
-
-def test_forward_dimension_mismatch():
-    params = _zero_params(3, (4,))
-    with pytest.raises(ValueError):
-        forward(params, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        forward(params, np.zeros((2, 3)))
+    y_hat_2, t_pred_2, _, _ = _forward_batch(params, X)
+    assert y_hat_2[0] != y_hat_1[0]
+    assert t_pred_2[0] == t_pred_1[0] == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +285,7 @@ def _fast_tcfg(**kw):
 
 def test_train_descends_on_separable_toy():
     tr, va = _toy_split()
-    params, hist = train(tr, va, ModelConfig(input_dim=2, hidden_dims=(8,), seed=3), _fast_tcfg())
+    params, hist = train(tr, va, ModelConfig(hidden_dims=(8,), seed=3), _fast_tcfg())
     assert hist.train_loss[-1] < hist.train_loss[0]
     assert len(hist.train_loss) == len(hist.val_loss) == len(hist.val_auc) == 12
     assert hist.val_loss[hist.selected_epoch - 1] == min(hist.val_loss)
@@ -305,14 +295,14 @@ def test_train_descends_on_separable_toy():
 
 def test_train_selected_epoch_earliest_argmin():
     tr, va = _toy_split()
-    _, hist = train(tr, va, ModelConfig(input_dim=2, hidden_dims=(4,), seed=3), _fast_tcfg())
+    _, hist = train(tr, va, ModelConfig(hidden_dims=(4,), seed=3), _fast_tcfg())
     first_argmin = int(np.argmin(hist.val_loss)) + 1
     assert hist.selected_epoch == first_argmin
 
 
 def test_train_deterministic():
     tr, va = _toy_split()
-    mcfg = ModelConfig(input_dim=2, hidden_dims=(8,), seed=3)
+    mcfg = ModelConfig(hidden_dims=(8,), seed=3)
     p1, h1 = train(tr, va, mcfg, _fast_tcfg())
     p2, h2 = train(tr, va, mcfg, _fast_tcfg())
     assert h1.train_loss == h2.train_loss
@@ -324,7 +314,7 @@ def test_train_deterministic():
 
 def test_train_lambda_changes_solution():
     tr, va = _toy_split()
-    mcfg = ModelConfig(input_dim=2, hidden_dims=(8,), seed=3)
+    mcfg = ModelConfig(hidden_dims=(8,), seed=3)
     p_multi, _ = train(tr, va, mcfg, _fast_tcfg(loss=LossConfig(lam=0.5)))
     p_single, _ = train(tr, va, mcfg, _fast_tcfg(loss=LossConfig(lam=0.0)))
     assert any(not np.array_equal(p_multi[k], p_single[k]) for k in p_multi)
@@ -332,34 +322,32 @@ def test_train_lambda_changes_solution():
 
 def test_train_rejects_patient_overlap_and_empty():
     tr, va = _toy_split()
-    mcfg = ModelConfig(input_dim=2, hidden_dims=(4,), seed=0)
+    mcfg = ModelConfig(hidden_dims=(4,), seed=0)
     with pytest.raises(ValueError):
         train(tr, tr, mcfg, _fast_tcfg())
     with pytest.raises(ValueError):
         train(tr.subset([]), va, mcfg, _fast_tcfg())
-    with pytest.raises(ValueError):
-        train(tr, va, ModelConfig(input_dim=3, hidden_dims=(4,), seed=0), _fast_tcfg())
 
 
 def test_train_single_class_validation_gets_nan_auc():
     tr, va = _toy_split()
     va_one_class = va.subset([i for i, yy in enumerate(va.y) if yy == 0])
     _, hist = train(
-        tr, va_one_class, ModelConfig(input_dim=2, hidden_dims=(4,), seed=1), _fast_tcfg()
+        tr, va_one_class, ModelConfig(hidden_dims=(4,), seed=1), _fast_tcfg()
     )
     assert all(np.isnan(a) for a in hist.val_auc)
 
 
 def test_predict_matches_forward_and_is_pure():
     tr, _ = _toy_split()
-    params = init_params(ModelConfig(input_dim=2, hidden_dims=(4,), seed=9))
+    params = init_params(ModelConfig(hidden_dims=(4,), seed=9), 2)
     preds = predict(params, tr, 3)
     assert preds.scan_ids == tr.scan_ids
     assert preds.fold.tolist() == [3] * len(tr)
-    for i in (0, len(tr) // 2, len(tr) - 1):
-        y_hat, t_pred = forward(params, tr.features[i])
-        assert preds.y_hat[i] == pytest.approx(y_hat, abs=1e-15)
-        assert preds.t_pred[i] == pytest.approx(t_pred, abs=1e-15)
+    for i in (0, len(tr) // 2, len(tr) - 1):  # each row as a batch of one scan
+        y_hat, t_pred, _, _ = _forward_batch(params, tr.features[i : i + 1])
+        assert preds.y_hat[i] == pytest.approx(y_hat[0], abs=1e-15)
+        assert preds.t_pred[i] == pytest.approx(t_pred[0], abs=1e-15)
     assert len(predict(params, tr.subset([]), 0)) == 0
     again = predict(params, tr, 3)
     assert again.y_hat.tobytes() == preds.y_hat.tobytes()
@@ -417,7 +405,7 @@ def test_fold_seed_stable_and_distinct():
 def test_run_crossval_pools_each_scan_once():
     rng = np.random.default_rng(36)
     ds = _toy_dataset(rng, n_patients=12)
-    mcfg = ModelConfig(input_dim=2, hidden_dims=(4,), seed=2)
+    mcfg = ModelConfig(hidden_dims=(4,), seed=2)
     tcfg = _fast_tcfg(max_epochs=3)
     res = run_crossval(ds, mcfg, tcfg, k=3)
     assert sorted(res.predictions.scan_ids) == sorted(ds.scan_ids)
@@ -435,7 +423,7 @@ def test_run_crossval_pools_each_scan_once():
 def test_run_crossval_deterministic():
     rng = np.random.default_rng(37)
     ds = _toy_dataset(rng, n_patients=9)
-    mcfg = ModelConfig(input_dim=2, hidden_dims=(4,), seed=2)
+    mcfg = ModelConfig(hidden_dims=(4,), seed=2)
     tcfg = _fast_tcfg(max_epochs=2)
     r1 = run_crossval(ds, mcfg, tcfg, k=3)
     r2 = run_crossval(ds, mcfg, tcfg, k=3)
@@ -467,6 +455,17 @@ def test_build_dataset_and_missing_features():
         build_dataset(labels, (["s1"], np.array([[1.0, 2.0]])))
 
 
+@pytest.mark.parametrize("shape", [
+    (2,),  # not 2-d
+    (2, 0),  # no feature column
+    (1, 2),  # a scan id without a row
+    (3, 2),  # a row without a scan id
+])
+def test_build_dataset_rejects_a_misshapen_matrix(shape):
+    with pytest.raises(ValueError, match=r"^features: .* got shape " + re.escape(str(shape))):
+        build_dataset(_two_labels(), (["s1", "s2"], np.ones(shape)))
+
+
 @pytest.mark.parametrize(
     "column, value, match",
     [
@@ -492,7 +491,7 @@ def test_train_validates_datasets_at_entry():
     tr, va = _toy_split()
     va.t_d[0] = np.nan
     with pytest.raises(ValueError, match="validation set: t_d"):
-        train(tr, va, ModelConfig(input_dim=2, hidden_dims=(4,), seed=0), _fast_tcfg())
+        train(tr, va, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -502,7 +501,7 @@ def test_train_raises_when_no_epoch_has_finite_val_loss():
     va.t_d[:] = 1e200
     va.p[:] = 1
     with pytest.raises(ValueError, match="no epoch of 12 gave a finite validation loss"):
-        train(tr, va, ModelConfig(input_dim=2, hidden_dims=(4,), seed=0), _fast_tcfg())
+        train(tr, va, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())
 
 
 def test_backward_fails_loudly_on_non_finite_predictions():
@@ -527,7 +526,7 @@ def test_run_crossval_folds_keep_every_config_field(monkeypatch):
     # the spy sees only this process: train the folds here, not in workers
     monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
     ds = _toy_dataset(np.random.default_rng(39), n_patients=9)
-    mcfg = ModelConfig(input_dim=2, hidden_dims=(3, 2), seed=4)
+    mcfg = ModelConfig(hidden_dims=(3, 2), seed=4)
     tcfg = _fast_tcfg(
         max_epochs=2, lr_decay_factor=0.3, weight_decay=0.02,
         loss=LossConfig(lam=0.7, epsilon=0.5),

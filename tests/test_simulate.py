@@ -10,7 +10,6 @@ from cfpt.simulate import (
     calibrate_onset_scale,
     cohort_summary,
     generate_cohort,
-    reference_cohort_config,
 )
 from helpers import Record, patient_table, records_of, table_columns
 
@@ -142,7 +141,7 @@ def test_null_cohort_trained_classifier_near_chance():
     params, _ = train(
         tr,
         va,
-        ModelConfig(input_dim=ds.input_dim, hidden_dims=(8,), seed=0),
+        ModelConfig(hidden_dims=(8,), seed=0),
         TrainConfig(max_epochs=10, lr0=1e-3, lr_decay_epochs=(), seed=0),
     )
     preds = predict(params, te, 0)
@@ -206,8 +205,7 @@ def test_summary_on_generated_cohort():
 
 def test_reference_config_hits_target_fraction():
     for seed in range(5):
-        cfg = reference_cohort_config(seed)
-        assert cfg == CohortConfig(seed=seed)
+        cfg = CohortConfig(seed=seed)
         assert cfg.onset_scale == 10.464
         patients, _, _ = generate_cohort(cfg)
         s = cohort_summary(patients)
