@@ -203,8 +203,10 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 #   key     text that appears once in the file
 #   float   a finite number, written with repr so it round-trips exactly
 #   float?  empty (NaN) or a finite number
+#   prob    a float in [0, 1]
 #   bit     0 or 1
 #   int     an integer
+#   index   an integer >= 0
 
 
 def _unique(cells):
@@ -220,6 +222,20 @@ def _floats(cells):
     return out
 
 
+def _probabilities(cells):
+    out = _floats(cells)
+    if out and not 0.0 <= min(out) <= max(out) <= 1.0:
+        raise ValueError
+    return out
+
+
+def _indices(cells):
+    out = list(map(int, cells))
+    if out and min(out) < 0:
+        raise ValueError
+    return out
+
+
 def _optional_floats(cells):
     _floats(filter(None, cells))  # every non-empty cell is a finite number
     return [float(c) if c else math.nan for c in cells]
@@ -231,8 +247,10 @@ _PARSE = {
     "key": (_unique, "duplicate {!r}"),
     "float": (_floats, "not a finite number: {!r}"),
     "float?": (_optional_floats, "neither empty nor a finite number: {!r}"),
+    "prob": (_probabilities, "not a number in [0, 1]: {!r}"),
     "bit": (lambda cells: list(map(("0", "1").index, cells)), "expected 0 or 1, got {!r}"),
     "int": (lambda cells: list(map(int, cells)), "not an integer: {!r}"),
+    "index": (_indices, "not an integer >= 0: {!r}"),
 }
 
 
@@ -258,6 +276,9 @@ _FORMAT = {
     "bit": lambda values: map(("0", "1").__getitem__, values),
     "int": lambda values: map(str, map(int, values)),
 }
+# the writers do not check ranges: a probability is written as any float, an
+# index as any int
+_FORMAT.update(prob=_FORMAT["float"], index=_FORMAT["int"])
 
 _PATIENTS = {
     "patient_id": "str", "is_cancer": "bit", "diagnosis_time": "float?",
@@ -267,7 +288,7 @@ _LABELS = {
     "scan_id": "key", "patient_id": "str", "t_d": "float", "p": "bit", "y": "bit",
     "right_censored": "bit",
 }
-_PREDICTIONS = {"scan_id": "key", "y_hat": "float", "t_pred": "float", "fold": "int"}
+_PREDICTIONS = {"scan_id": "key", "y_hat": "prob", "t_pred": "float", "fold": "index"}
 _TRUTH = {"patient_id": "str", "onset_time": "float"}
 _KM = {"time": "float", "survival": "float", "at_risk": "int", "events": "int"}
 _ROC = {"threshold": "float", "fpr": "float", "tpr": "float"}

@@ -153,6 +153,13 @@ def fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
     return loss, cfg.lam * (2.0 * r)
 
 
+def joint_loss_grad(t_pred, t_d, p, cfg: LossConfig):
+    """``lam * crl_grad``, the derivative of the per-scan joint loss with
+    respect to ``t_pred``, without the loss: the training step's share of
+    :func:`fused_joint_loss`, unchecked and equal to it bit for bit."""
+    return cfg.lam * (2.0 * crl_residual(t_pred, t_d, p, cfg.epsilon))
+
+
 def cel_grad_logit(logit, y):
     """Derivative of ``cel(sigmoid(logit), y)`` with respect to the logit.
 

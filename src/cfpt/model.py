@@ -26,12 +26,19 @@ from scipy.special import expit
 from .labels import LabelTable, _check_lengths
 # crl, crl_grad and cel stay importable here for perfbench's tracer, which
 # wraps functions in the namespace of the module that calls them
-from .losses import LossConfig, cel, crl, crl_grad, fused_joint_loss  # noqa: F401
+from .losses import (  # noqa: F401
+    LossConfig, cel, crl, crl_grad, fused_joint_loss, joint_loss_grad,
+)
 from .metrics import roc_auc
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# rows per block of a forward pass outside the training step. On a 2-CPU
+# OpenBLAS build a 64-wide layer ran on one thread up to 192 rows and started
+# a second at 256; 64 rows ran as fast per row as 192
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -236,22 +243,74 @@ def _forward_batch(params: dict, X: np.ndarray):
     return expit(logit), t_pred, logit, hiddens
 
 
-def _forward_blocked(params: dict, X: np.ndarray, rows: int):
+def _forward_blocked(params: dict, X: np.ndarray, rows: int = _BLOCK_ROWS):
     """``(y_hat, t_pred)`` of :func:`_forward_batch` over ``X``, run on
-    blocks of ``rows`` rows and joined.
+    blocks of ``rows`` rows; two empty arrays when ``X`` has no rows.
 
-    Each row's outputs are the same bytes as in one whole pass; small
-    blocks keep every matmul under the BLAS library's threading threshold,
-    so a worker process uses one CPU.
+    Small blocks keep every matmul under the BLAS library's threading
+    threshold, so a process uses one CPU. With ``rows`` a multiple of 4,
+    each row's outputs are the bytes of one whole pass: the BLAS kernels
+    take rows in groups of up to 4, so the groups are the same, and a
+    last row alone, which numpy would multiply by another routine, joins
+    the block before it.
     """
-    blocks = [_forward_batch(params, X[i : i + rows])[:2] for i in range(0, len(X), rows)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    n = len(X)
+    y_hat, t_pred = np.empty(n), np.empty(n)
+    stops = [*range(rows, n, rows), n]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    start = 0
+    for stop in stops:
+        y_hat[start:stop], t_pred[start:stop] = _forward_batch(params, X[start:stop])[:2]
+        start = stop
+    return y_hat, t_pred
 
 
 def _batch_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
     """Mean joint loss over a batch and the per-scan ``lam * crl_grad``."""
     loss, d_tpred = fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg)
     return float(loss.sum() / loss.size), d_tpred  # np.mean, less overhead
+
+
+def _flat_views(buffer: np.ndarray, params: dict) -> dict:
+    """Views of the flat ``buffer`` shaped as the arrays of ``params``, laid
+    end to end in its key order."""
+    views, offset = {}, 0
+    for k, value in params.items():
+        views[k] = buffer[offset : offset + value.size].reshape(value.shape)
+        offset += value.size
+    return views
+
+
+def _backward_into(grads: dict, params: dict, X, t_d, p, y, loss_cfg: LossConfig):
+    """Write the gradients of the mean joint loss over the batch ``X`` into
+    ``grads``, arrays of ``params``' keys and shapes, and return the batch's
+    ``(y_hat, t_pred)``.
+
+    Unchecked: ``X`` is a non-empty float64 matrix, ``t_d`` finite and
+    ``p``/``y`` binary. Non-finite predictions raise ValueError before any
+    gradient is written.
+    """
+    n = X.shape[0]
+    y_hat, t_pred, _, hiddens = _forward_batch(params, X)
+    if not (math.isfinite(t_pred.sum()) and math.isfinite(y_hat.sum())):
+        raise ValueError("training diverged: non-finite predictions in a minibatch")
+    d_logit = (y_hat - y) / n
+    d_tpred = joint_loss_grad(t_pred, t_d, p, loss_cfg) / n
+
+    h = hiddens[-1]
+    np.matmul(h.T, d_logit, out=grads["w_cls"])
+    grads["b_cls"][0] = d_logit.sum()
+    np.matmul(h.T, d_tpred, out=grads["w_reg"])
+    grads["b_reg"][0] = d_tpred.sum()
+    d_h = d_logit[:, None] * params["w_cls"] + d_tpred[:, None] * params["w_reg"]
+    for i in range(len(hiddens) - 2, -1, -1):
+        dz = d_h * (hiddens[i + 1] > 0)
+        np.matmul(hiddens[i].T, dz, out=grads[f"W{i}"])
+        dz.sum(axis=0, out=grads[f"b{i}"])
+        if i > 0:
+            d_h = dz @ params[f"W{i}"].T
+    return y_hat, t_pred
 
 
 def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
@@ -265,34 +324,15 @@ def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
     The labels are not checked here: callers pass finite ``t_d`` and
     binary ``p``/``y``, as :meth:`ScanDataset.validate` ensures for
     :func:`train`. Non-finite predictions raise ValueError, so a diverging
-    run stops at the step where it diverged.
+    run stops at the step where it diverged. :func:`train` runs the same
+    gradient kernel, writing into its Adam state's buffer.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("backward expects a non-empty 2-d feature batch")
-    n = X.shape[0]
-    y_hat, t_pred, _, hiddens = _forward_batch(params, X)
-    if not (math.isfinite(t_pred.sum()) and math.isfinite(y_hat.sum())):
-        raise ValueError("training diverged: non-finite predictions in a minibatch")
-    loss, d_tpred = _batch_loss(y_hat, t_pred, t_d, p, y, loss_cfg)
-
-    d_logit = (y_hat - y) / n
-    d_tpred = d_tpred / n
-
-    h = hiddens[-1]
-    grads = {
-        "w_cls": h.T @ d_logit,
-        "b_cls": np.array([d_logit.sum()]),
-        "w_reg": h.T @ d_tpred,
-        "b_reg": np.array([d_tpred.sum()]),
-    }
-    d_h = d_logit[:, None] * params["w_cls"] + d_tpred[:, None] * params["w_reg"]
-    for i in range(_n_hidden(params) - 1, -1, -1):
-        dz = d_h * (hiddens[i + 1] > 0)
-        grads[f"W{i}"] = hiddens[i].T @ dz
-        grads[f"b{i}"] = dz.sum(axis=0)
-        if i > 0:
-            d_h = dz @ params[f"W{i}"].T
+    grads = _flat_views(np.empty(sum(v.size for v in params.values())), params)
+    y_hat, t_pred = _backward_into(grads, params, X, t_d, p, y, loss_cfg)
+    loss, _ = _batch_loss(y_hat, t_pred, t_d, p, y, loss_cfg)
     return grads, loss
 
 
@@ -302,17 +342,22 @@ def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
 
 @dataclass
 class AdamState:
-    """Adam's parameters and moments, each one flat float64 buffer.
+    """Adam's parameters, moments and gradient, each one flat float64
+    buffer.
 
-    ``theta``, ``m`` and ``v`` lay the parameters end to end in the key
-    order of ``params``, whose values are views into ``theta``: an update
-    of ``theta`` is an update of every parameter array.
+    ``theta``, ``m``, ``v`` and ``grad`` lay the parameters end to end in
+    the key order of ``params``, whose values are views into ``theta``: an
+    update of ``theta`` is an update of every parameter array. ``grads``
+    holds the same views into ``grad``, which the training step's backward
+    pass writes.
     """
 
     params: dict
     theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
+    grads: dict
     t: int = 0
 
     @classmethod
@@ -320,28 +365,20 @@ class AdamState:
         """Copy ``params`` into a flat buffer and rebind each entry of the
         dict, in place, to its view, so the caller's dict stays live."""
         theta = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
-        offset = 0
-        for k, value in params.items():
-            params[k] = theta[offset : offset + value.size].reshape(value.shape)
-            offset += value.size
-        return cls(params, theta, np.zeros_like(theta), np.zeros_like(theta))
+        params.update(_flat_views(theta, params))
+        grad = np.zeros_like(theta)
+        return cls(
+            params, theta, np.zeros_like(theta), np.zeros_like(theta), grad,
+            _flat_views(grad, params),
+        )
 
 
-def adam_step(state: AdamState, grads: dict, lr: float, weight_decay: float) -> AdamState:
-    """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected).
-
-    Weight decay enters as a plain L2 gradient term (g += wd * param)
-    before the moment updates. The gradients are flattened once and the
-    update runs on the flat buffers, in place; the state is returned.
-    """
-    if grads.keys() != state.params.keys():
-        raise ValueError("gradient keys do not match parameter keys")
-    for k, theta in state.params.items():
-        if grads[k].shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {k!r}")
-    g = np.concatenate([grads[k] for k in state.params], axis=None, dtype=np.float64)
+def _adam_update(state: AdamState, lr: float, weight_decay: float) -> None:
+    """Adam's update of ``state.theta`` from the gradient in ``state.grad``,
+    in place; weight decay is added into ``state.grad``."""
     state.t += 1
     t = state.t
+    g = state.grad
     if weight_decay != 0.0:
         g += weight_decay * state.theta
     m, v = state.m, state.v
@@ -352,6 +389,25 @@ def adam_step(state: AdamState, grads: dict, lr: float, weight_decay: float) -> 
     m_hat = m / (1 - ADAM_BETA1**t)
     v_hat = v / (1 - ADAM_BETA2**t)
     state.theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def adam_step(state: AdamState, grads: dict, lr: float, weight_decay: float) -> AdamState:
+    """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected).
+
+    Weight decay enters as a plain L2 gradient term (g += wd * param)
+    before the moment updates. ``grads`` must have the keys and shapes of
+    ``state.params``; it is copied into the state's flat gradient buffer
+    and the update runs on the flat buffers, in place; the state is
+    returned. :func:`train` runs the same update kernel on the gradients
+    its backward pass wrote into that buffer.
+    """
+    if grads.keys() != state.params.keys():
+        raise ValueError("gradient keys do not match parameter keys")
+    for k, theta in state.params.items():
+        if grads[k].shape != theta.shape:
+            raise ValueError(f"gradient shape mismatch for {k!r}")
+    np.concatenate([grads[k] for k in state.params], axis=None, out=state.grad)
+    _adam_update(state, lr, weight_decay)
     return state
 
 
@@ -363,6 +419,21 @@ def effective_lr(epoch: int, tcfg: TrainConfig) -> float:
 
 # ---------------------------------------------------------------------------
 # training and cross-validation
+
+
+def _train_loss(loss: np.ndarray, batch_size: int) -> float:
+    """An epoch's train loss from its per-scan ``loss``, in step order: the
+    mean of the per-batch mean losses weighted by batch size, summed batch
+    by batch, the sum :func:`backward`'s loss per step would give."""
+    n = len(loss)
+    full = n - n % batch_size
+    total = 0.0
+    for mean in (loss[:full].reshape(-1, batch_size).sum(axis=1) / batch_size).tolist():
+        total += mean * batch_size
+    if full < n:
+        rest = loss[full:]
+        total += float(rest.sum() / rest.size) * rest.size
+    return total / n
 
 
 def train(
@@ -382,6 +453,11 @@ def train(
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    if val_set.input_dim != train_set.input_dim:
+        raise ValueError(
+            f"validation set has {val_set.input_dim} feature columns, "
+            f"train set has {train_set.input_dim}"
+        )
     train_set.validate("train set")
     val_set.validate("validation set")
     overlap = set(train_set.patient_ids) & set(val_set.patient_ids)
@@ -393,7 +469,9 @@ def train(
     params = init_params(mcfg, train_set.input_dim, t_d_mean=float(np.mean(train_set.t_d)))
     state = AdamState.for_params(params)
     rng = np.random.default_rng(tcfg.seed)
-    n = len(train_set)
+    n, b = len(train_set), tcfg.batch_size
+    # each step's predictions, in the epoch's order, for its train loss
+    y_hat, t_pred = np.empty(n), np.empty(n)
 
     history = TrainHistory([], [], [], 0)
     best_loss = np.inf
@@ -406,17 +484,16 @@ def train(
         X, t_d, p, y = (
             a[order] for a in (train_set.features, train_set.t_d, train_set.p, train_set.y)
         )
-        loss_sum = 0.0
-        for start in range(0, n, tcfg.batch_size):
-            batch = slice(start, start + tcfg.batch_size)
-            grads, loss = backward(
-                params, X[batch], t_d[batch], p[batch], y[batch], tcfg.loss
+        for start in range(0, n, b):
+            batch = slice(start, start + b)
+            y_hat[batch], t_pred[batch] = _backward_into(
+                state.grads, params, X[batch], t_d[batch], p[batch], y[batch], tcfg.loss
             )
-            adam_step(state, grads, lr, tcfg.weight_decay)
-            loss_sum += loss * len(y[batch])
-        history.train_loss.append(loss_sum / n)
+            _adam_update(state, lr, tcfg.weight_decay)
+        loss, _ = fused_joint_loss(y_hat, t_pred, t_d, p, y, tcfg.loss)
+        history.train_loss.append(_train_loss(loss, b))
 
-        y_hat_val, t_pred_val = _forward_blocked(params, val_set.features, tcfg.batch_size)
+        y_hat_val, t_pred_val = _forward_blocked(params, val_set.features)
         val_loss, _ = _batch_loss(
             y_hat_val, t_pred_val, val_set.t_d, val_set.p, val_set.y, tcfg.loss
         )
@@ -465,7 +542,7 @@ class PredictionTable:
 def predict(params: dict, dataset: ScanDataset, fold: int) -> PredictionTable:
     """Forward pass over every scan, in dataset order; every row gets
     ``fold`` in its fold column."""
-    y_hat, t_pred, _, _ = _forward_batch(params, dataset.features)
+    y_hat, t_pred = _forward_blocked(params, dataset.features)
     return PredictionTable(
         list(dataset.scan_ids), y_hat, t_pred, np.full(len(dataset), fold)
     )

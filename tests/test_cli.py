@@ -394,9 +394,13 @@ _READERS = {
         ("labels.csv", "scan_id", "s0"),
         ("predictions.csv", "y_hat", "x"),
         ("predictions.csv", "y_hat", "nan"),
+        ("predictions.csv", "y_hat", "7.5"),
+        ("predictions.csv", "y_hat", "-0.25"),
+        ("predictions.csv", "y_hat", "1.0000000000000002"),
         ("predictions.csv", "t_pred", "inf"),
         ("predictions.csv", "fold", "x"),
         ("predictions.csv", "fold", "1.5"),
+        ("predictions.csv", "fold", "-1"),
         ("predictions.csv", "scan_id", "s0"),
         ("scans.csv", "f0", "x"),
         ("scans.csv", "f1", "nan"),
@@ -456,14 +460,16 @@ def _random_column(rng, kind, n):
         return values if kind == "float" else [
             math.nan if rng.random() < 0.3 else v for v in values
         ]
+    if kind == "prob":
+        return [0.0, 1.0, *rng.random(max(n - 2, 0)).tolist()][:n]  # both ends
     if kind == "bit":
         return (rng.random(n) < 0.5).tolist()
-    return rng.integers(-10**6, 10**6, size=n).tolist()
+    return rng.integers(0 if kind == "index" else -10**6, 10**6, size=n).tolist()
 
 
 _CELL = {
     "str": str, "key": str, "float": repr, "float?": lambda v: "" if math.isnan(v) else repr(v),
-    "bit": lambda v: "01"[v], "int": str,
+    "prob": repr, "bit": lambda v: "01"[v], "int": str, "index": str,
 }
 
 
@@ -775,6 +781,23 @@ def test_main_success_and_errors(tmp_path, capsys):
 
     assert main(["label", str(tmp_path / "nope.csv"), "--out", str(out / "l.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:io:")
+
+
+def test_main_eval_rejects_predictions_outside_their_range(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join(_CLEAN_CSV["labels.csv"]) + "\n", encoding="utf-8")
+    predictions = tmp_path / "predictions.csv"
+    for rows, column in (
+        (["s0,7.5,1.0,0", "s1,0.25,2.0,1"], "y_hat"),
+        (["s0,0.5,1.0,0", "s1,0.25,2.0,-1"], "fold"),
+    ):
+        predictions.write_text("\n".join(["scan_id,y_hat,t_pred,fold", *rows]) + "\n",
+                               encoding="utf-8")
+        assert main(["eval", str(predictions), str(labels), "--out", str(tmp_path / "r")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error:schema: {predictions} row ")
+        assert f"column {column}: " in line
+        assert not (tmp_path / "r").exists()
 
 
 def test_main_synth_refused_features_leave_no_csv(tmp_path, capsys):

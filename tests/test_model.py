@@ -494,6 +494,20 @@ def test_train_validates_datasets_at_entry():
         train(tr, va, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())
 
 
+def test_train_rejects_a_validation_set_of_another_width(monkeypatch):
+    tr, va = _toy_split()
+    narrow = ScanDataset(va.scan_ids, va.patient_ids, va.features[:, :1], va.t_d, va.p, va.y)
+    passes = []
+    monkeypatch.setattr(
+        "cfpt.model._forward_batch", lambda *args: passes.append(args) or _forward_batch(*args)
+    )
+    with pytest.raises(
+        ValueError, match="validation set has 1 feature columns, train set has 2"
+    ):
+        train(tr, narrow, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())
+    assert passes == []  # refused before the first forward pass
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_train_raises_when_no_epoch_has_finite_val_loss():
     # finite but astronomically large targets: every validation loss overflows
