@@ -34,7 +34,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .labels import LabelTable, PatientTable, derive_scan_labels
+from .labels import LabelTable, PatientTable, contract_break, derive_scan_labels, outcome_disagrees
 from .losses import LossConfig
 from .metrics import THRESHOLDS, EvalReport, KMCurve, evaluate, km_estimate
 from .model import (
@@ -405,8 +405,7 @@ def read_patients_csv(path) -> PatientTable:
     head = first[patient]  # each row's patient's first row
     cancer = np.asarray(cancer, dtype=bool)
     diag = np.asarray(diag, dtype=np.float64)
-    unknown = np.isnan(diag)
-    clash = (cancer != cancer[head]) | ~((diag == diag[head]) | (unknown & unknown[head]))
+    clash = outcome_disagrees(cancer, diag, head)
     if clash.any():
         i = int(clash.argmax())
         raise SchemaError(f"{path} row {i + 2}: patient {pids[i]!r} contradicts its earlier rows")
@@ -456,12 +455,23 @@ def write_truth_csv(path, onsets: dict) -> None:
 def write_labels_csv(path, labels: LabelTable) -> None:
     _write_csv(path, _LABELS, [
         labels.scan_ids, labels.patient_ids, labels.t_d.tolist(), labels.p.tolist(),
-        labels.y.tolist(), labels.right_censored.tolist(),
+        labels.y.tolist(), (1 - labels.p).tolist(),
     ])
 
 
 def read_labels_csv(path) -> LabelTable:
-    return LabelTable(*_read_csv(path, _LABELS))
+    """The labels of a labels file; its ``right_censored`` column is checked
+    and dropped. A row that breaks the labels contract of
+    :func:`~cfpt.labels.contract_break` fails naming its row and column."""
+    loaded = _load_csv(path)
+    *columns, right_censored = _read_csv(path, _LABELS, loaded)
+    labels = LabelTable(*columns)
+    broken = contract_break(labels, right_censored)
+    if broken:
+        row, column, rule = broken
+        cell = loaded[2][list(_LABELS).index(column)][row]  # its text as read
+        raise SchemaError(f"{path} row {row + 2}: column {column}: {rule}, got {cell!r}")
+    return labels
 
 
 def write_predictions_csv(path, predictions: PredictionTable) -> None:

@@ -10,11 +10,10 @@ for every scan:
   never diagnosed (a right-censored lower bound: the next screening round
   is assumed at least a year away).
 * ``p`` -- patient-level cancer indicator (1 iff the patient is ultimately
-  diagnosed).
+  diagnosed); ``t_d`` is right-censored exactly when ``p = 0``.
 * ``y`` -- scan-level malignancy: for cancer patients, the latest scan at
   or before the biopsy time plus every scan after it; all other scans,
   and every scan of a never-diagnosed patient, are negative.
-* ``right_censored`` -- true exactly for scans of never-diagnosed patients.
 
 Malignancy is a scan-level notion here, not a subject-level one: an early
 scan of a patient who is diagnosed years later carries ``p = 1`` but
@@ -23,7 +22,8 @@ scan of a patient who is diagnosed years later carries ``p = 1`` but
 A cohort is one :class:`PatientTable` and its labels one
 :class:`LabelTable`, each a column per field and a row per scan: from the
 simulator or the patients CSV, through :func:`derive_scan_labels` and the
-labels CSV, to training and evaluation.
+labels CSV, to training and evaluation. The labels CSV adds a file column,
+``right_censored``, written as ``1 - p`` and checked by :func:`contract_break`.
 """
 
 from dataclasses import dataclass
@@ -71,9 +71,9 @@ class LabelTable:
     """Training targets of a cohort, one row per scan, in parallel columns.
 
     ``scan_ids`` and ``patient_ids`` are lists of str; ``t_d`` is float64,
-    ``p`` and ``y`` int64 and ``right_censored`` bool, converted on
-    construction. Values are not checked here: the CSV reader checks them
-    in the file and ``build_dataset`` before training.
+    ``p`` and ``y`` int64, converted on construction. Values are not
+    checked here: the CSV reader checks them in the file, against
+    :func:`contract_break` too, and ``build_dataset`` before training.
     """
 
     scan_ids: list
@@ -81,13 +81,11 @@ class LabelTable:
     t_d: np.ndarray
     p: np.ndarray
     y: np.ndarray
-    right_censored: np.ndarray
 
     def __post_init__(self):
         self.t_d = np.asarray(self.t_d, dtype=np.float64)
         self.p = np.asarray(self.p, dtype=np.int64)
         self.y = np.asarray(self.y, dtype=np.int64)
-        self.right_censored = np.asarray(self.right_censored, dtype=bool)
         _check_lengths(self)
 
     def __len__(self):
@@ -103,6 +101,13 @@ def _repeats(keys) -> np.ndarray:
     return out
 
 
+def outcome_disagrees(cancer, diag, head) -> np.ndarray:
+    """Whether each row's is_cancer ``cancer`` or diagnosis_time ``diag``
+    differs from that of row ``head``, its patient's first; NaNs agree."""
+    unknown = np.isnan(diag)
+    return (cancer != cancer[head]) | ~((diag == diag[head]) | (unknown & unknown[head]))
+
+
 def _patient_starts(patients: PatientTable) -> np.ndarray:
     """Whether each row starts a patient, once the whole table is checked.
 
@@ -115,15 +120,13 @@ def _patient_starts(patients: PatientTable) -> np.ndarray:
     patient = np.cumsum(start) - 1
     head = np.flatnonzero(start)[patient]
     times, cancer, diag = patients.scan_times, patients.is_cancer, patients.diagnosis_time
-    unknown = np.isnan(diag)
     # each invariant as a flag per row that breaks it
     problems = {
         "rows not contiguous": _repeats(pid[start].tolist())[patient],
-        "rows disagree on is_cancer or diagnosis_time":
-            (cancer != cancer[head]) | ~((diag == diag[head]) | (unknown & unknown[head])),
+        "rows disagree on is_cancer or diagnosis_time": outcome_disagrees(cancer, diag, head),
         "scan_times contains non-finite values": ~np.isfinite(times),
         "scan_times not strictly increasing": ~start & (times <= np.roll(times, 1)),
-        "diagnosis_time present for non-cancer patient": ~cancer & ~unknown,
+        "diagnosis_time present for non-cancer patient": ~cancer & ~np.isnan(diag),
         "diagnosis_time is infinite": np.isinf(diag),
         "scan_id repeats an earlier row": _repeats(patients.scan_ids),
     }
@@ -140,11 +143,11 @@ def derive_scan_labels(patients: PatientTable) -> LabelTable:
     """Derive the :class:`LabelTable` of ``patients``, row for row.
 
     Never-diagnosed patients: ``t_d`` is the gap to the last scan plus one
-    year (so the last scan gets exactly 1.0), all labels negative,
-    right-censored. Cancer patients: ``t_d`` is the signed gap to the
-    biopsy time ``b``, the diagnosis time or else the last scan time;
-    malignant scans are the latest one at or before ``b`` (when any scan
-    precedes it) together with every scan after ``b``.
+    year (so the last scan gets exactly 1.0), all labels negative. Cancer
+    patients: ``t_d`` is the signed gap to the biopsy time ``b``, the
+    diagnosis time or else the last scan time; malignant scans are the
+    latest one at or before ``b`` (when any scan precedes it) together with
+    every scan after ``b``.
 
     The whole table is checked first: each patient's rows are contiguous
     and agree on ``is_cancer`` and ``diagnosis_time``; scan times are
@@ -169,5 +172,27 @@ def derive_scan_labels(patients: PatientTable) -> LabelTable:
         t_d=np.where(cancer, gap, gap + 1.0),
         p=cancer,
         y=cancer & (last | (later > ref)),
-        right_censored=~cancer,
     )
+
+
+def contract_break(labels: LabelTable, right_censored):
+    """The first cell of a labels file that breaks the labels contract, as
+    ``(row, column, rule)`` with ``row`` counted from 0, or None.
+
+    ``right_censored`` is the file's column of that name. The contract,
+    which :func:`derive_scan_labels` meets by construction: a scan with
+    ``p = 0`` has ``t_d >= 1``, ``y = 0`` and ``right_censored = 1``; a
+    scan with ``p = 1`` has ``right_censored = 0``. Of the cells that
+    break it in one row, the leftmost in the file is named.
+    """
+    never = labels.p == 0
+    breaks = {  # file column -> (rule, whether each row breaks it)
+        "t_d": ("p = 0 requires t_d >= 1", never & (labels.t_d < 1.0)),
+        "y": ("p = 0 requires y = 0", never & (labels.y != 0)),
+        "right_censored": ("right_censored must be 1 - p", np.asarray(right_censored) != never),
+    }
+    bad = np.logical_or.reduce([flags for _, flags in breaks.values()])
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return next((row, column, rule) for column, (rule, flags) in breaks.items() if flags[row])

@@ -142,21 +142,19 @@ def cel(y_hat, y):
 
 
 def fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
-    """Per-scan joint loss ``lam * crl + cel`` and its derivative
-    ``lam * crl_grad`` with respect to ``t_pred``, from one residual.
+    """Per-scan joint loss ``lam * crl + cel``.
 
     Unchecked, like the kernels it calls; equal bit for bit to the checked
     functions on valid input.
     """
     r = crl_residual(t_pred, t_d, p, cfg.epsilon)
-    loss = cfg.lam * np.square(r) + cel_kernel(y_hat, y)
-    return loss, cfg.lam * (2.0 * r)
+    return cfg.lam * np.square(r) + cel_kernel(y_hat, y)
 
 
 def joint_loss_grad(t_pred, t_d, p, cfg: LossConfig):
     """``lam * crl_grad``, the derivative of the per-scan joint loss with
-    respect to ``t_pred``, without the loss: the training step's share of
-    :func:`fused_joint_loss`, unchecked and equal to it bit for bit."""
+    respect to ``t_pred``, for the training step; unchecked, and equal bit
+    for bit to the checked functions on valid input."""
     return cfg.lam * (2.0 * crl_residual(t_pred, t_d, p, cfg.epsilon))
 
 

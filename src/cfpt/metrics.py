@@ -352,7 +352,7 @@ def evaluate(
 
     cancer_mask = p == 1
     cancer_points = np.column_stack([t_pred[cancer_mask], t_d[cancer_mask]])
-    # non-cancer t_d is time-to-last-scan + 1 by construction
+    # non-cancer t_d is time-to-last-scan + 1, >= 1 in any labels file read
     noncancer_points = np.column_stack(
         [t_pred[~cancer_mask], t_d[~cancer_mask] - 1.0]
     )

@@ -266,10 +266,10 @@ def _forward_blocked(params: dict, X: np.ndarray, rows: int = _BLOCK_ROWS):
     return y_hat, t_pred
 
 
-def _batch_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig):
-    """Mean joint loss over a batch and the per-scan ``lam * crl_grad``."""
-    loss, d_tpred = fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg)
-    return float(loss.sum() / loss.size), d_tpred  # np.mean, less overhead
+def _batch_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig) -> float:
+    """Mean joint loss over a batch."""
+    loss = fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg)
+    return float(loss.sum() / loss.size)  # np.mean, less overhead
 
 
 def _flat_views(buffer: np.ndarray, params: dict) -> dict:
@@ -332,8 +332,7 @@ def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
         raise ValueError("backward expects a non-empty 2-d feature batch")
     grads = _flat_views(np.empty(sum(v.size for v in params.values())), params)
     y_hat, t_pred = _backward_into(grads, params, X, t_d, p, y, loss_cfg)
-    loss, _ = _batch_loss(y_hat, t_pred, t_d, p, y, loss_cfg)
-    return grads, loss
+    return grads, _batch_loss(y_hat, t_pred, t_d, p, y, loss_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +489,11 @@ def train(
                 state.grads, params, X[batch], t_d[batch], p[batch], y[batch], tcfg.loss
             )
             _adam_update(state, lr, tcfg.weight_decay)
-        loss, _ = fused_joint_loss(y_hat, t_pred, t_d, p, y, tcfg.loss)
+        loss = fused_joint_loss(y_hat, t_pred, t_d, p, y, tcfg.loss)
         history.train_loss.append(_train_loss(loss, b))
 
         y_hat_val, t_pred_val = _forward_blocked(params, val_set.features)
-        val_loss, _ = _batch_loss(
+        val_loss = _batch_loss(
             y_hat_val, t_pred_val, val_set.t_d, val_set.p, val_set.y, tcfg.loss
         )
         history.val_loss.append(val_loss)

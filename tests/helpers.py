@@ -184,7 +184,6 @@ def check_label_invariants(rec, labels):
     assert labels.patient_ids == [rec.patient_id] * len(labels)
     t_d, p, y = labels.t_d.tolist(), labels.p.tolist(), labels.y.tolist()
     for k in range(len(labels)):
-        assert labels.right_censored[k] == (p[k] == 0)
         if p[k] == 0:
             assert y[k] == 0
             assert t_d[k] >= 1.0

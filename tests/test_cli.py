@@ -37,7 +37,7 @@ from cfpt.labels import LabelTable, PatientTable, derive_scan_labels
 from cfpt.losses import LossConfig
 from cfpt.model import ModelConfig, PredictionTable, TrainConfig
 from cfpt.simulate import CohortConfig
-from helpers import patient_table, table_columns
+from helpers import patient_table, random_patient_record, table_columns
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +391,10 @@ _READERS = {
         ("labels.csv", "p", "2"),
         ("labels.csv", "y", "x"),
         ("labels.csv", "right_censored", "2"),
+        # the labels contract, on the p = 0 row
+        ("labels.csv", "y", "1"),
+        ("labels.csv", "t_d", "0.5"),
+        ("labels.csv", "right_censored", "0"),
         ("labels.csv", "scan_id", "s0"),
         ("predictions.csv", "y_hat", "x"),
         ("predictions.csv", "y_hat", "nan"),
@@ -415,6 +419,29 @@ def test_readers_name_row_and_column_of_a_bad_cell(tmp_path, name, column, bad):
     path.write_text("\n".join([header, rows[0], ",".join(cells)]) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=rf"{re.escape(name)} row 3: column {column}: .*'{bad}'"):
         _READERS[name](path)
+
+
+def test_labels_reader_refuses_a_censored_cancer_scan(tmp_path):
+    header, cancer, control = _CLEAN_CSV["labels.csv"]
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join([header, cancer[:-1] + "1", control]) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"labels\.csv row 2: column right_censored: .*'1'"):
+        read_labels_csv(path)
+
+
+def test_label_files_of_random_cohorts_meet_the_contract_and_round_trip(tmp_path):
+    rng = np.random.default_rng(13)
+    path, again = tmp_path / "labels.csv", tmp_path / "again.csv"
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        labels = derive_scan_labels(patient_table(
+            *(random_patient_record(rng, pid=f"r{i}") for i in range(n))
+        ))
+        write_labels_csv(path, labels)
+        back = read_labels_csv(path)
+        assert table_columns(back) == table_columns(labels)
+        write_labels_csv(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_patients_csv_contradictory_rows(tmp_path):
@@ -493,7 +520,7 @@ def test_writer_quotes_a_bare_cr(tmp_path):
     # csv.writer with lineterminator "\n" leaves a lone CR bare, and its
     # reader then ends the row there
     path = tmp_path / "labels.csv"
-    labels = LabelTable(["a\rb", "c"], ["p\r", "p\r"], [1.0, 2.0], [0, 0], [0, 0], [1, 1])
+    labels = LabelTable(["a\rb", "c"], ["p\r", "p\r"], [1.0, 2.0], [0, 0], [0, 0])
     write_labels_csv(path, labels)
     assert path.read_bytes() == (
         f"{_LABELS_HEADER}\n" '"a\rb","p\r",1.0,0,0,1\n' 'c,"p\r",2.0,0,0,1\n'
@@ -503,14 +530,13 @@ def test_writer_quotes_a_bare_cr(tmp_path):
 
 def _labels_of_rows(rows):
     """The labels the csv module reads from ``rows``, parsed cell by cell."""
-    sids, pids, t_d, p, y, rc = map(list, zip(*rows)) if rows else [[]] * 6
-    return LabelTable(sids, pids, list(map(float, t_d)), list(map(int, p)), list(map(int, y)),
-                      [c == "1" for c in rc])
+    sids, pids, t_d, p, y, _ = map(list, zip(*rows)) if rows else [[]] * 6
+    return LabelTable(sids, pids, list(map(float, t_d)), list(map(int, p)), list(map(int, y)))
 
 
 @pytest.mark.parametrize("nl", ["\n", "\r\n"])
 @pytest.mark.parametrize("text, problem", [
-    ("{h}{nl}s0,pa,1.0,1,1,0{nl}s1,pb,-0.0,0,0,1{nl}", None),
+    ("{h}{nl}s0,pa,1.0,1,1,0{nl}s1,pb,-0.0,1,0,0{nl}", None),
     ('{h}{nl}"s,0",pa,1.0,1,1,0{nl}"s""1","p{nl}b",2.0,0,0,1{nl}', None),
     ("{h}{nl}s0,pa,1.0,1,1,0{nl}s1, pb ,2.0,0,0,1", None),  # no final line end
     ("{h}{nl}", None),
@@ -548,10 +574,10 @@ def test_text_and_float_bits_round_trip(tmp_path):
     words = ["".join(rng.choice(alphabet, size=rng.integers(0, 5))) for _ in range(n)]
     assert all(any(ch in w for w in words) for ch in ',"\r\n')
     scan_ids = [f"{w}#{i}" for i, w in enumerate(words)]
-    labels = LabelTable(
-        scan_ids, words[::-1], _random_floats(rng, n), rng.integers(0, 2, n),
-        rng.integers(0, 2, n), rng.random(n) < 0.5,
-    )
+    t_d = _random_floats(rng, n)
+    # rows that meet the labels contract: p = 0 only where t_d >= 1, y = 1 only where p = 1
+    p = np.where(np.less(t_d, 1.0), 1, rng.integers(0, 2, n))
+    labels = LabelTable(scan_ids, words[::-1], t_d, p, p & rng.integers(0, 2, n))
     path, again = tmp_path / "labels.csv", tmp_path / "again.csv"
     write_labels_csv(path, labels)
     back = read_labels_csv(path)
@@ -798,6 +824,29 @@ def test_main_eval_rejects_predictions_outside_their_range(tmp_path, capsys):
         assert line.startswith(f"error:schema: {predictions} row ")
         assert f"column {column}: " in line
         assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("row, column", [
+    ("s2,pc,3.0,0,1,1", "y"),
+    ("s2,pc,0.5,0,0,1", "t_d"),
+    ("s2,pc,3.0,0,0,0", "right_censored"),
+    ("s2,pc,3.0,1,0,1", "right_censored"),
+])
+def test_main_km_and_eval_refuse_labels_that_break_the_contract(tmp_path, capsys, row, column):
+    header, *rows = _CLEAN_CSV["labels.csv"]
+    labels, predictions = tmp_path / "labels.csv", tmp_path / "predictions.csv"
+    labels.write_text("\n".join([header, *rows, row]) + "\n", encoding="utf-8")
+    predictions.write_text(
+        "\n".join([*_CLEAN_CSV["predictions.csv"], "s2,0.75,3.0,2"]) + "\n", encoding="utf-8"
+    )
+    for argv, out in (
+        (["km", str(labels)], tmp_path / "km.csv"),
+        (["eval", str(predictions), str(labels)], tmp_path / "report"),
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        (line,) = _error_lines(capsys.readouterr().err)
+        assert line.startswith(f"error:schema: {labels} row 4: column {column}: ")
+        assert not out.exists()
 
 
 def test_main_synth_refused_features_leave_no_csv(tmp_path, capsys):

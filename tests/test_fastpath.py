@@ -68,12 +68,11 @@ def test_fused_joint_loss_equals_checked_functions(lam):
     for n in (1, 7, 32, 500):
         y_hat, t_pred, t_d, p, y = _random_batch(rng, n)
         p[:2] = [0, 1][: min(n, 2)]  # both branches even in tiny batches
-        loss, grad = fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg)
+        loss = fused_joint_loss(y_hat, t_pred, t_d, p, y, cfg)
         ref_loss = cfg.lam * crl(t_pred, t_d, p, cfg.epsilon) + cel(y_hat, y)
         ref_grad = cfg.lam * crl_grad(t_pred, t_d, p, cfg.epsilon)
         assert loss.tobytes() == np.asarray(ref_loss).tobytes()
-        assert grad.tobytes() == np.asarray(ref_grad).tobytes()
-        assert joint_loss_grad(t_pred, t_d, p, cfg).tobytes() == grad.tobytes()
+        assert joint_loss_grad(t_pred, t_d, p, cfg).tobytes() == np.asarray(ref_grad).tobytes()
 
 
 def _adam_reference(params, grads_seq, lrs, weight_decay):
@@ -178,7 +177,7 @@ def _train_reference(train_set, val_set, mcfg, tcfg):
             loss_sum += loss * len(y[batch])
         history.train_loss.append(loss_sum / n)
         y_hat, t_pred, _, _ = _forward_batch(params, val_set.features)
-        val_loss, _ = _batch_loss(y_hat, t_pred, val_set.t_d, val_set.p, val_set.y, tcfg.loss)
+        val_loss = _batch_loss(y_hat, t_pred, val_set.t_d, val_set.p, val_set.y, tcfg.loss)
         history.val_loss.append(val_loss)
         history.val_auc.append(roc_auc(y_hat, val_set.y)[0])
         if val_loss < best_loss:

@@ -41,14 +41,13 @@ def test_noncancer_labels():
     assert labels.t_d.tolist() == [3.0, 2.0, 1.0]
     assert labels.p.tolist() == [0, 0, 0]
     assert labels.y.tolist() == [0, 0, 0]
-    assert labels.right_censored.all()
 
 
 def test_cancer_labels_diagnosis_after_last_scan():
     labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.5), True, diagnosis_time=2.0)))
     assert labels.t_d.tolist() == [2.0, 0.5]
     assert labels.y.tolist() == [0, 1]
-    assert not labels.right_censored.any()
+    assert labels.p.tolist() == [1, 1]
 
 
 def test_cancer_labels_with_post_diagnosis_scan():
@@ -222,7 +221,7 @@ def test_cohort_derivation_equals_concatenated_single_records():
         *([x for table in singles for x in getattr(table, name)]
           for name in ("scan_ids", "patient_ids")),
         *(np.concatenate([getattr(table, name) for table in singles])
-          for name in ("t_d", "p", "y", "right_censored")),
+          for name in ("t_d", "p", "y")),
     )
     assert table_columns(whole) == table_columns(concatenated)
     assert len(derive_scan_labels(patient_table())) == 0

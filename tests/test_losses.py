@@ -182,7 +182,7 @@ def test_cel_grad_logit_matches_finite_differences():
 
 def _joint_loss(y_hat, t_pred, t_d, p, y, cfg):
     """Per-scan joint loss of one scan, as a float."""
-    loss, _ = fused_joint_loss(
+    loss = fused_joint_loss(
         np.array([y_hat]), np.array([t_pred]), np.array([t_d]), np.array([p]), np.array([y]), cfg
     )
     return float(loss[0])
@@ -218,12 +218,12 @@ def test_batch_loss_is_mean_and_permutation_invariant():
     t_d = np.array([float(i % 3) for i in range(4)])
     p = y = np.array([i % 2 for i in range(4)])
     single = [_joint_loss(*cols, cfg) for cols in zip(y_hat, t_pred, t_d, p, y)]
-    batch, _ = _batch_loss(y_hat, t_pred, t_d, p, y, cfg)
+    batch = _batch_loss(y_hat, t_pred, t_d, p, y, cfg)
     assert batch == pytest.approx(np.mean(single), abs=1e-12)
-    one, _ = _batch_loss(y_hat[:1], t_pred[:1], t_d[:1], p[:1], y[:1], cfg)
+    one = _batch_loss(y_hat[:1], t_pred[:1], t_d[:1], p[:1], y[:1], cfg)
     assert one == pytest.approx(single[0], abs=1e-15)
     perm = [2, 0, 3, 1]
-    permuted, _ = _batch_loss(y_hat[perm], t_pred[perm], t_d[perm], p[perm], y[perm], cfg)
+    permuted = _batch_loss(y_hat[perm], t_pred[perm], t_d[perm], p[perm], y[perm], cfg)
     assert permuted == pytest.approx(batch, abs=1e-12)
 
 
@@ -233,7 +233,7 @@ def test_batch_loss_two_elements_mean():
     t_d, p, y = np.array([2.0, 2.0]), np.array([1, 1]), np.array([1, 1])
     la = _joint_loss(y_hat[0], t_pred[0], t_d[0], p[0], y[0], cfg)
     lb = _joint_loss(y_hat[1], t_pred[1], t_d[1], p[1], y[1], cfg)
-    batch, _ = _batch_loss(y_hat, t_pred, t_d, p, y, cfg)
+    batch = _batch_loss(y_hat, t_pred, t_d, p, y, cfg)
     assert batch == pytest.approx((la + lb) / 2, abs=1e-12)
 
 

@@ -324,7 +324,6 @@ def _toy_labels():
         t_d=[3.0, 1.0, -1.0, 2.0, 3.0, 2.0, 1.0, 1.0],
         p=[1, 1, 1, 1, 0, 0, 0, 0],
         y=[0, 1, 1, 1, 0, 0, 0, 0],
-        right_censored=[False] * 4 + [True] * 4,
     )
 
 

@@ -437,7 +437,7 @@ def test_run_crossval_deterministic():
 
 
 def _two_labels():
-    return LabelTable(["s1", "s2"], ["a", "b"], [2.0, 1.0], [1, 0], [1, 0], [False, True])
+    return LabelTable(["s1", "s2"], ["a", "b"], [2.0, 1.0], [1, 0], [1, 0])
 
 
 def test_build_dataset_and_missing_features():
