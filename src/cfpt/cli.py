@@ -29,7 +29,7 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -207,6 +207,9 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 #   bit     0 or 1
 #   int     an integer
 #   index   an integer >= 0
+# Float columns repeat their values (a patient's features on each of its
+# scans, a handful of scan times), so a column's floats are formatted once
+# per distinct bit pattern; each cell is parsed once.
 
 
 def _unique(cells):
@@ -215,9 +218,14 @@ def _unique(cells):
     return cells
 
 
-def _floats(cells):
-    out = list(map(float, cells))
-    if not all(map(math.isfinite, out)):
+def _floats(cells, empty=None):
+    """The finite floats of ``cells``, an empty cell read as ``empty``
+    unless that is None."""
+    if empty is None:
+        out = list(map(float, cells))
+    else:
+        out = [float(c) if c else empty for c in cells]
+    if not all(map(math.isfinite, compress(out, cells))):  # the non-empty cells
         raise ValueError
     return out
 
@@ -236,17 +244,12 @@ def _indices(cells):
     return out
 
 
-def _optional_floats(cells):
-    _floats(filter(None, cells))  # every non-empty cell is a finite number
-    return [float(c) if c else math.nan for c in cells]
-
-
 # kind -> (parse a column of cells or raise ValueError, complaint about a bad cell)
 _PARSE = {
     "str": (lambda cells: cells, None),
     "key": (_unique, "duplicate {!r}"),
     "float": (_floats, "not a finite number: {!r}"),
-    "float?": (_optional_floats, "neither empty nor a finite number: {!r}"),
+    "float?": (lambda cells: _floats(cells, math.nan), "neither empty nor a finite number: {!r}"),
     "prob": (_probabilities, "not a number in [0, 1]: {!r}"),
     "bit": (lambda cells: list(map(("0", "1").index, cells)), "expected 0 or 1, got {!r}"),
     "int": (lambda cells: list(map(int, cells)), "not an integer: {!r}"),
@@ -267,12 +270,23 @@ def _text(values):
     return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
 
 
+def _float_text(values, nan="nan"):
+    """The repr of each float of ``values``, a NaN written as ``nan``: one
+    repr per distinct bit pattern, so -0.0 and 0.0 stay apart."""
+    bits, rows = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                           return_inverse=True)
+    distinct = bits.view(np.float64)
+    texts = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    texts[np.isnan(distinct)] = nan
+    return texts[rows].tolist()
+
+
 # kind -> column of values to column of cells; a number never needs quotes
 _FORMAT = {
     "str": _text,
     "key": _text,
-    "float": lambda values: map(repr, map(float, values)),
-    "float?": lambda values: ["" if math.isnan(v) else repr(v) for v in map(float, values)],
+    "float": _float_text,
+    "float?": lambda values: _float_text(values, ""),
     "bit": lambda values: map(("0", "1").__getitem__, values),
     "int": lambda values: map(str, map(int, values)),
 }
@@ -387,8 +401,8 @@ def _write_csv(path, schema, columns) -> None:
 
 def write_patients_csv(path, patients: PatientTable) -> None:
     _write_csv(path, _PATIENTS, [
-        patients.patient_ids, patients.is_cancer.tolist(), patients.diagnosis_time.tolist(),
-        patients.scan_ids, patients.scan_times.tolist(),
+        patients.patient_ids, patients.is_cancer.tolist(), patients.diagnosis_time,
+        patients.scan_ids, patients.scan_times,
     ])
 
 
@@ -432,7 +446,7 @@ def write_scans_csv(path, features) -> None:
             f"{path} row {i + 2}: column f{j}: not a finite number: {float(matrix[i, j])!r}"
         )
     schema = {"scan_id": "key", **{f"f{j}": "float" for j in range(matrix.shape[1])}}
-    _write_csv(path, schema, [scan_ids, *matrix.T.tolist()])
+    _write_csv(path, schema, [scan_ids, *matrix.T])
 
 
 def read_scans_csv(path) -> tuple:
@@ -454,7 +468,7 @@ def write_truth_csv(path, onsets: dict) -> None:
 
 def write_labels_csv(path, labels: LabelTable) -> None:
     _write_csv(path, _LABELS, [
-        labels.scan_ids, labels.patient_ids, labels.t_d.tolist(), labels.p.tolist(),
+        labels.scan_ids, labels.patient_ids, labels.t_d, labels.p.tolist(),
         labels.y.tolist(), (1 - labels.p).tolist(),
     ])
 
@@ -476,7 +490,7 @@ def read_labels_csv(path) -> LabelTable:
 
 def write_predictions_csv(path, predictions: PredictionTable) -> None:
     _write_csv(path, _PREDICTIONS, [
-        predictions.scan_ids, predictions.y_hat.tolist(), predictions.t_pred.tolist(),
+        predictions.scan_ids, predictions.y_hat, predictions.t_pred,
         predictions.fold.tolist(),
     ])
 
@@ -490,11 +504,11 @@ def write_km_csv(path, km: KMCurve) -> None:
 
 
 def write_roc_csv(path, points) -> None:
-    _write_csv(path, _ROC, points.T.tolist())
+    _write_csv(path, _ROC, points.T)
 
 
 def write_scatter_csv(path, points) -> None:
-    _write_csv(path, _SCATTER, np.asarray(points).reshape(-1, 2).T.tolist())
+    _write_csv(path, _SCATTER, np.asarray(points).reshape(-1, 2).T)
 
 
 def write_threshold_csv(path, rows) -> None:
@@ -521,6 +535,12 @@ def write_folds_csv(path, assignments) -> None:
 # commands (path-level, callable without argparse)
 
 
+def _make_parent(path) -> None:
+    """Create the directory an output file goes in, as the commands that
+    write a directory create it."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+
+
 def cmd_synth(cfg: ExperimentConfig, out_dir) -> CohortSummary:
     """Generate the cohort and write patients/scans/truth CSVs."""
     os.makedirs(out_dir, exist_ok=True)
@@ -535,6 +555,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir) -> CohortSummary:
 def cmd_label(patients_csv, labels_csv) -> int:
     """Derive per-scan labels from a patients CSV; returns the row count."""
     labels = derive_scan_labels(read_patients_csv(patients_csv))
+    _make_parent(labels_csv)
     write_labels_csv(labels_csv, labels)
     return len(labels)
 
@@ -596,6 +617,7 @@ def cmd_km(labels_csv, out_csv) -> tuple[KMCurve, int]:
     if not kept.any():
         raise SchemaError(f"{labels_csv}: no scans with non-negative t_d")
     km = km_estimate(labels.t_d[kept], labels.p[kept])
+    _make_parent(out_csv)
     write_km_csv(out_csv, km)
     return km, len(labels) - int(kept.sum())
 
@@ -729,6 +751,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenProcessPool as exc:  # a crossval worker process died
         print(f"error:worker: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's allocation failures too
+        print(f"error:memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from .labels import PatientTable, derive_scan_labels
 
 
-# generate_cohort builds every scan in a Python loop, so a schedule may
-# run at most this many scan intervals past its first scan
+# generate_cohort draws each scan's dropout check in a Python loop, so a
+# schedule may run at most this many scan intervals past its first scan
 MAX_SCAN_INTERVALS = 1000
 
 
@@ -114,51 +114,51 @@ def generate_cohort(cfg: CohortConfig):
     function of the config, including its seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    w = _risk_direction(cfg.feature_dim)
+    d = cfg.feature_dim
     n_max = int(np.floor(cfg.study_horizon / cfg.scan_interval + 1e-9)) + 1
-    width = len(str(cfg.n_patients - 1))
 
-    patient_ids = []
-    is_cancer = []
-    diagnosis_times = []
-    scan_ids = []
-    times = []
-    blocks = []
-    onsets = {}
+    # the random draws, patient by patient: baseline features, the onset's
+    # Weibull factor, a dropout check after each scan but the last one
+    # possible, and the noise of each scan that is taken. The risk is each
+    # patient's own ``w @ x``: a matrix product over all patients sums in
+    # another order and moves its last bits
+    w = _risk_direction(d)
+    x = np.empty((cfg.n_patients, d))
+    risk = np.empty(cfg.n_patients)
+    weibull = np.empty(cfg.n_patients)
+    n_scans = np.full(cfg.n_patients, n_max)
+    noise = []
     for i in range(cfg.n_patients):
-        pid = f"p{i:0{width}d}"
-        x = rng.standard_normal(cfg.feature_dim)
-        r = float(w @ x)
-        scale = cfg.onset_scale * np.exp(-cfg.risk_coeff * r)
-        t_onset = float(rng.weibull(cfg.onset_shape) * scale)
-
-        scan_times = []
-        for k in range(n_max):
-            scan_times.append(k * cfg.scan_interval)
-            if k < n_max - 1 and rng.uniform() < cfg.dropout_prob:
+        x[i] = rng.standard_normal(d)
+        risk[i] = w @ x[i]
+        weibull[i] = rng.weibull(cfg.onset_shape)
+        for k in range(n_max - 1):
+            if rng.random() < cfg.dropout_prob:
+                n_scans[i] = k + 1
                 break
+        noise.append(rng.normal(0.0, cfg.noise_sd, size=n_scans[i]))
 
-        diagnosis = math.nan
-        for t in scan_times:
-            if t >= t_onset:
-                diagnosis = t
-                break
+    # everything else at once, over all patients and scans
+    onset = weibull * (cfg.onset_scale * np.exp(-cfg.risk_coeff * risk))
+    grid = np.arange(n_max) * cfg.scan_interval
+    first = np.searchsorted(grid, onset)  # the first scan time at or after onset
+    cancer = first < n_scans  # a scan the patient had
+    diagnosis = np.where(cancer, grid[np.minimum(first, n_max - 1)], np.nan)
+    # each scan's patient, and its place in that patient's schedule
+    patient = np.repeat(np.arange(cfg.n_patients), n_scans)
+    scan = np.arange(len(patient)) - np.repeat(np.cumsum(n_scans) - n_scans, n_scans)
+    times = grid[scan]
+    ramp = np.maximum(0.0, 1.0 - (onset[patient] - times) / cfg.study_horizon)
+    matrix = np.empty((len(patient), d + 1))
+    matrix[:, :-1] = x[patient]
+    matrix[:, -1] = cfg.progression_gain * ramp + np.concatenate(noise)
 
-        n = len(scan_times)
-        noise = rng.normal(0.0, cfg.noise_sd, size=n)
-        ramp = np.maximum(0.0, 1.0 - (t_onset - np.array(scan_times)) / cfg.study_horizon)
-        block = np.empty((n, cfg.feature_dim + 1))
-        block[:, :-1] = x
-        block[:, -1] = cfg.progression_gain * ramp + noise
-        blocks.append(block)
-        patient_ids += [pid] * n
-        is_cancer += [not math.isnan(diagnosis)] * n
-        diagnosis_times += [diagnosis] * n
-        scan_ids += [f"{pid}-s{k}" for k in range(n)]
-        times += scan_times
-        onsets[pid] = t_onset
-    patients = PatientTable(patient_ids, is_cancer, diagnosis_times, scan_ids, times)
-    return patients, (list(scan_ids), np.concatenate(blocks)), onsets
+    width = len(str(cfg.n_patients - 1))
+    pids = [f"p{i:0{width}d}" for i in range(cfg.n_patients)]
+    patient_ids = [pid for pid, n in zip(pids, n_scans.tolist()) for _ in range(n)]
+    scan_ids = [f"{pid}-s{k}" for pid, k in zip(patient_ids, scan.tolist())]
+    patients = PatientTable(patient_ids, cancer[patient], diagnosis[patient], scan_ids, times)
+    return patients, (list(scan_ids), matrix), dict(zip(pids, onset.tolist()))
 
 
 def cohort_summary(patients: PatientTable) -> CohortSummary:

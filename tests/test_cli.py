@@ -513,6 +513,81 @@ def test_writer_bytes_equal_csv_writer(tmp_path, schema, n):
     assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
+# a pool of awkward floats that columns repeat, as a cohort's features and
+# scan times do: the writer formats each distinct bit pattern once
+_POOL = [-0.0, 0.0, 5e-324, 1e16, 9.999999999999999e15, 0.1 + 0.2, -2.5]
+_NANS = np.array(  # quiet, payload, negative and signalling NaNs
+    [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+    dtype=np.uint64,
+).view(np.float64)
+_POOLED = {"scan_id": "key", "f": "float", "g": "float?", "p": "prob"}
+
+
+def _pooled_columns(rng, n, finite=False):
+    """Columns of ``_POOLED``: floats drawn from ``_POOL`` (and inf unless
+    ``finite``), optional floats from ``_POOL`` and ``_NANS``."""
+    floats = np.array(_POOL if finite else [*_POOL, math.inf])
+    return [
+        [f"s{i}" for i in range(n)],
+        rng.choice(floats, n),
+        rng.choice(np.concatenate([_POOL, _NANS]), n),
+        rng.choice([0.0, -0.0, 0.5, 1.0], n),
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 3, 2500])
+def test_writer_bytes_of_repeated_floats_equal_csv_writer(tmp_path, n):
+    columns = _pooled_columns(np.random.default_rng([67, n]), n)
+    lists = [columns[0], *(c.tolist() for c in columns[1:])]
+    cli._write_csv(tmp_path / "arrays.csv", _POOLED, columns)
+    cli._write_csv(tmp_path / "lists.csv", _POOLED, lists)
+    with open(tmp_path / "csv.csv", "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(_POOLED)
+        w.writerows(zip(*[map(_CELL[kind], col) for kind, col in zip(_POOLED.values(), lists)]))
+    expected = (tmp_path / "csv.csv").read_bytes()
+    assert (tmp_path / "arrays.csv").read_bytes() == expected
+    assert (tmp_path / "lists.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("n", [3, 2500])
+def test_repeated_float_bits_round_trip(tmp_path, n):
+    rng = np.random.default_rng([71, n])
+    columns = _pooled_columns(rng, n, finite=True)
+    path = tmp_path / "pooled.csv"
+    cli._write_csv(path, _POOLED, columns)
+    ids, f, g, p = cli._read_csv(path, _POOLED)
+    assert ids == columns[0]
+    assert np.array(f).tobytes() == columns[1].tobytes()
+    assert np.array(p).tobytes() == columns[3].tobytes()
+    g, nan = np.array(g), np.isnan(columns[2])
+    assert np.isnan(g).tolist() == nan.tolist()
+    assert g[~nan].tobytes() == columns[2][~nan].tobytes()
+
+    matrix = rng.choice(_POOL, (n, 3))
+    write_scans_csv(tmp_path / "scans.csv", (columns[0], matrix))
+    back_ids, back = read_scans_csv(tmp_path / "scans.csv")
+    assert back_ids == columns[0] and back.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("kind, bad", [
+    ("float", "nan"), ("float", "x"), ("float", ""), ("float?", "nan"), ("float?", "x"),
+])
+def test_a_bad_cell_among_repeats_is_named_by_its_first_row(tmp_path, kind, bad):
+    # four texts repeated over 300 cells, as in a cohort's feature columns
+    texts = ["1.0", "-0.0", "2.5", "" if kind == "float?" else "3.0"]
+    cells = np.random.default_rng(73).choice(texts, 300).tolist()
+    for i in (137, 211, 250):
+        cells[i] = bad
+    path = tmp_path / "repeats.csv"
+    path.write_text("k,v\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells)),
+                    encoding="utf-8")
+    complaint = cli._PARSE[kind][1].format(bad)
+    with pytest.raises(SchemaError) as err:
+        cli._read_csv(path, {"k": "key", "v": kind})
+    assert str(err.value) == f"{path} row 139: column v: {complaint}"
+
+
 _LABELS_HEADER = "scan_id,patient_id,t_d,p,y,right_censored"
 
 
@@ -1014,6 +1089,53 @@ def test_main_label_and_km_flow(tmp_path, capsys):
     assert main(["km", str(out / "labels.csv"), "--out", str(out / "km.csv")]) == 0
     captured = capsys.readouterr()
     assert "wrote curve to" in captured.out
+
+
+@pytest.mark.parametrize("command", ["label", "km"])
+def test_main_label_and_km_create_their_out_directory(tmp_path, capsys, command):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("cohort.n_patients = 12\ncohort.seed = 3\n", encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert main(["label", str(data / "patients.csv"), "--out", str(data / "labels.csv")]) == 0
+    source = data / ("patients.csv" if command == "label" else "labels.csv")
+    out = tmp_path / "missing" / "deeper" / "out.csv"
+    capsys.readouterr()
+    assert main([command, str(source), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8").startswith(
+        "scan_id,patient_id" if command == "label" else "time,survival")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 8.00 TiB for an array"),
+     "Unable to allocate 8.00 TiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_main_memory_error_is_one_line(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_label", exhausted)
+    assert main(["label", str(tmp_path / "p.csv"), "--out", str(tmp_path / "l.csv")]) == 1
+    assert capsys.readouterr().err == f"error:memory: {message}\n"
+
+
+def test_main_crossval_worker_memory_error_is_one_line(tmp_path, capfd, monkeypatch):
+    cfg_path = _crossval_inputs(tmp_path)
+    capfd.readouterr()
+
+    def exhausted(*args):  # in the fold's worker process, where there are workers
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cfpt.model, "train", exhausted)
+    run = tmp_path / "run"
+    assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
+    err = capfd.readouterr().err
+    assert _error_lines(err) == ["error:memory: Unable to allocate 8.00 TiB for an array"]
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not run.exists()
 
 
 def test_main_seed_override_changes_output(tmp_path):

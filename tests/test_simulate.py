@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from cfpt.labels import derive_scan_labels
+from cfpt.labels import PatientTable, derive_scan_labels
 from cfpt.metrics import roc_auc
 from cfpt.simulate import (
     MAX_SCAN_INTERVALS,
@@ -70,6 +72,77 @@ def test_generate_deterministic():
     assert f1[1].tobytes() == f2[1].tobytes()
     r3, _, _ = generate_cohort(_small_cfg(seed=124))
     assert table_columns(r3) != table_columns(r1)
+
+
+def _generate_reference(cfg):
+    """The per-patient loop ``generate_cohort`` replaced: it built each
+    patient's risk, onset, schedule, diagnosis and feature block between
+    the draws, where ``generate_cohort`` keeps only the draws in its loop."""
+    rng = np.random.default_rng(cfg.seed)
+    w = np.ones(cfg.feature_dim) / np.sqrt(cfg.feature_dim)
+    n_max = int(np.floor(cfg.study_horizon / cfg.scan_interval + 1e-9)) + 1
+    width = len(str(cfg.n_patients - 1))
+    patient_ids, is_cancer, diagnosis_times, scan_ids, times, blocks = [], [], [], [], [], []
+    onsets = {}
+    for i in range(cfg.n_patients):
+        pid = f"p{i:0{width}d}"
+        x = rng.standard_normal(cfg.feature_dim)
+        r = float(w @ x)
+        scale = cfg.onset_scale * np.exp(-cfg.risk_coeff * r)
+        t_onset = float(rng.weibull(cfg.onset_shape) * scale)
+        scan_times = []
+        for k in range(n_max):
+            scan_times.append(k * cfg.scan_interval)
+            if k < n_max - 1 and rng.uniform() < cfg.dropout_prob:
+                break
+        diagnosis = math.nan
+        for t in scan_times:
+            if t >= t_onset:
+                diagnosis = t
+                break
+        n = len(scan_times)
+        noise = rng.normal(0.0, cfg.noise_sd, size=n)
+        ramp = np.maximum(0.0, 1.0 - (t_onset - np.array(scan_times)) / cfg.study_horizon)
+        block = np.empty((n, cfg.feature_dim + 1))
+        block[:, :-1] = x
+        block[:, -1] = cfg.progression_gain * ramp + noise
+        blocks.append(block)
+        patient_ids += [pid] * n
+        is_cancer += [not math.isnan(diagnosis)] * n
+        diagnosis_times += [diagnosis] * n
+        scan_ids += [f"{pid}-s{k}" for k in range(n)]
+        times += scan_times
+        onsets[pid] = t_onset
+    patients = PatientTable(patient_ids, is_cancer, diagnosis_times, scan_ids, times)
+    return patients, (list(scan_ids), np.concatenate(blocks)), onsets
+
+
+@pytest.mark.parametrize("kw", [
+    dict(study_horizon=1.0),  # one scan per schedule
+    dict(dropout_prob=0.0),
+    dict(dropout_prob=0.9),
+    dict(noise_sd=0.0),
+    dict(feature_dim=1),
+    dict(feature_dim=3),
+    dict(risk_coeff=-1.5),
+    dict(scan_interval=0.3, study_horizon=2.0),
+    dict(n_patients=5000, feature_dim=8, seed=0),  # the cohort of the cohort-io benchmark
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_generate_cohort_equals_the_loop_it_replaced(kw):
+    cfg = _small_cfg(**kw)
+    patients, (scan_ids, matrix), onsets = generate_cohort(cfg)
+    ref, (ref_ids, ref_matrix), ref_onsets = _generate_reference(cfg)
+    for name in ("patient_ids", "scan_ids"):
+        assert getattr(patients, name) == getattr(ref, name)
+    for name in ("is_cancer", "diagnosis_time", "scan_times"):
+        a, b = getattr(patients, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert scan_ids == ref_ids and scan_ids is not patients.scan_ids
+    assert matrix.shape == ref_matrix.shape and matrix.tobytes() == ref_matrix.tobytes()
+    assert list(onsets) == list(ref_onsets)
+    assert all(type(v) is float for v in onsets.values())
+    values, ref_values = (np.array(list(o.values())) for o in (onsets, ref_onsets))
+    assert values.tobytes() == ref_values.tobytes()
 
 
 def test_feature_table_matches_scan_ids():
