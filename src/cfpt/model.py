@@ -7,8 +7,9 @@ minimizes the joint objective from :mod:`cfpt.losses` with Adam, a step
 learning-rate decay, and selection of the parameter snapshot at the epoch
 of minimum validation loss. Cross-validation is split at the patient
 level so no patient's scans appear in more than one of train / validation
-/ test within a fold; the folds train in parallel worker processes, up to
-one per available CPU.
+/ test within a fold. Each fold is one job, run in a forked worker process
+(up to one per available CPU) that inherits the dataset, subsets the
+fold's patients, trains and predicts the fold's test scans.
 
 Everything is plain float64 numpy; all randomness flows from explicit
 seeds, so a (seed, config, data) triple fully determines every output.
@@ -140,10 +141,13 @@ class ScanDataset:
         return list(seen)
 
     def subset(self, indices) -> "ScanDataset":
-        idx = list(indices)
+        """The scans at ``indices``, a sequence or an integer array, in
+        that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
         return ScanDataset(
-            [self.scan_ids[i] for i in idx],
-            [self.patient_ids[i] for i in idx],
+            list(map(self.scan_ids.__getitem__, rows)),
+            list(map(self.patient_ids.__getitem__, rows)),
             self.features[idx],
             self.t_d[idx],
             self.p[idx],
@@ -151,10 +155,10 @@ class ScanDataset:
         )
 
     def subset_patients(self, patient_set) -> "ScanDataset":
+        """The scans of the patients in ``patient_set``, in dataset order."""
         keep = set(patient_set)
-        return self.subset(
-            [i for i, pid in enumerate(self.patient_ids) if pid in keep]
-        )
+        member = np.fromiter(map(keep.__contains__, self.patient_ids), bool, len(self))
+        return self.subset(np.flatnonzero(member))
 
 
 def _feature_matrix(features, what: str) -> tuple:
@@ -608,13 +612,37 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _train_fold(fold: int, train_set, val_set, mcfg, tcfg) -> tuple[dict, TrainHistory]:
-    """One fold's :func:`train`, with the fold number in its errors; runs in
-    a worker process or in-process alike."""
+# a forked worker's crossval, (dataset, assignments, mcfg, tcfg), set by
+# the pool's initializer in the worker and never in the parent
+_worker_crossval = None
+
+
+def _init_worker(*crossval) -> None:
+    global _worker_crossval
+    _worker_crossval = crossval
+
+
+def _worker_fold(fold: int) -> tuple[PredictionTable, TrainHistory]:
+    return _run_fold(*_worker_crossval, fold)
+
+
+def _run_fold(
+    dataset: ScanDataset, assignments, mcfg: ModelConfig, tcfg: TrainConfig, fold: int
+) -> tuple[PredictionTable, TrainHistory]:
+    """One whole fold: subset its patients, :func:`train` on them with the
+    fold's seeds, with the fold number in its errors, and predict its test
+    scans. Runs in a worker process or in-process alike."""
+    fa = assignments[fold]
     try:
-        return train(train_set, val_set, mcfg, tcfg)
+        params, history = train(
+            dataset.subset_patients(fa.train),
+            dataset.subset_patients(fa.val),
+            replace(mcfg, seed=fold_seed(mcfg.seed, fold)),
+            replace(tcfg, seed=fold_seed(tcfg.seed, fold)),
+        )
     except ValueError as exc:
         raise ValueError(f"fold {fold}: {exc}") from exc
+    return predict(params, dataset.subset_patients(fa.test), fold), history
 
 
 def run_crossval(
@@ -626,43 +654,38 @@ def run_crossval(
     validation never saw its patient. Per-fold training uses independent
     seeds derived from (config seed, fold index).
 
-    The folds train in ``min(k, available CPUs)`` forked worker processes,
-    or in this process when that is one or ``fork`` is unavailable; both
-    give the same bytes. Prediction and pooling stay here, in fold order.
-    All workers have exited when this returns or raises; a worker that
-    dies raises ``concurrent.futures.process.BrokenProcessPool``.
+    A fold is one job: it subsets its train, validation and test patients,
+    trains and predicts. The jobs run in ``min(k, available CPUs)`` forked
+    worker processes, which inherit the dataset, the fold assignments and
+    the configs by fork and are sent only fold numbers; or in this process
+    when that is one or ``fork`` is unavailable. Both give the same bytes.
+    Each fold's predictions and history come back, and the predictions are
+    pooled here in fold order. All workers have exited when this returns
+    or raises; a worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.
     """
     assignments = crossval_split(dataset.patients(), k, tcfg.seed)
-    jobs = [
-        (
-            fa.fold,
-            dataset.subset_patients(fa.train),
-            dataset.subset_patients(fa.val),
-            replace(mcfg, seed=fold_seed(mcfg.seed, fa.fold)),
-            replace(tcfg, seed=fold_seed(tcfg.seed, fa.fold)),
-        )
-        for fa in assignments
-    ]
+    crossval = (dataset, assignments, mcfg, tcfg)
     workers = min(k, _available_cpus())
     # fork, not spawn: a spawned worker imports numpy, scipy and cfpt again,
     # 1.2-1.5 s on a 2-vCPU VM, longer than a whole 4-epoch reference
-    # crossval there. In the CLI the only other threads are OpenBLAS's,
-    # which it stops before a fork (pthread_atfork).
+    # crossval there, and would need the dataset pickled. In the CLI the
+    # only other threads are OpenBLAS's, which it stops before a fork
+    # (pthread_atfork).
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            trained = list(pool.map(_train_fold, *zip(*jobs)))
+        # under fork the initializer's arguments are inherited, not pickled
+        with ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_init_worker, initargs=crossval
+        ) as pool:
+            folds = list(pool.map(_worker_fold, range(k)))
     else:
-        trained = [_train_fold(*job) for job in jobs]
+        folds = [_run_fold(*crossval, fold) for fold in range(k)]
 
-    tables = [
-        predict(params, dataset.subset_patients(fa.test), fa.fold)
-        for fa, (params, _) in zip(assignments, trained)
-    ]
+    tables, histories = zip(*folds)
     predictions = PredictionTable(
         [sid for table in tables for sid in table.scan_ids],
         *(np.concatenate([getattr(table, name) for table in tables])
           for name in ("y_hat", "t_pred", "fold")),
     )
-    histories = [history for _, history in trained]
-    return CrossvalResult(predictions, assignments, histories)
+    return CrossvalResult(predictions, assignments, list(histories))

@@ -1,12 +1,13 @@
 """Seeded fuzz of the command line: the input files of a tiny synth, with
-cells mutated and rows duplicated, dropped or swapped, make each command
-succeed or fail with one ``error:`` line, never an escaped exception."""
+cells mutated and rows duplicated, dropped or swapped, and config keys set
+to odd values, make each command succeed or fail with one ``error:`` line,
+never an escaped exception."""
 
 import numpy as np
 import pytest
 
 import cfpt.model
-from cfpt.cli import main
+from cfpt.cli import _CONFIG_KEYS, main
 
 _CONFIG = (
     "cohort.n_patients = 12\ncohort.feature_dim = 3\nk_folds = 3\nmodel.hidden_dims = 4\n"
@@ -58,6 +59,20 @@ def _mutate(rng, lines):
     return lines
 
 
+def _run(argv, capsys, what):
+    """``main(argv)``'s exit code, after checking it is 0 or 1 with as many
+    ``error:`` lines on stderr and that no exception escaped."""
+    try:
+        code = main(argv)
+    except Exception as exc:
+        pytest.fail(f"cfpt {' '.join(argv)} raised {exc!r} on {what}")
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert code in (0, 1), (argv, what)
+    assert len(errors) == code, (argv, what, errors)
+    return code
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # training on mutated features
 def test_mutated_inputs_exit_0_or_1_with_at_most_one_error_line(tmp_path, capsys, monkeypatch):
     # the folds train in this process, so an exception in one would escape here
@@ -79,15 +94,42 @@ def test_mutated_inputs_exit_0_or_1_with_at_most_one_error_line(tmp_path, capsys
             (data / name).write_text(text, encoding="utf-8")
             for template in commands:
                 argv = [a.format(data=data, out=out, cfg=cfg) for a in template]
-                try:
-                    code = main(argv)
-                except Exception as exc:
-                    pytest.fail(f"cfpt {' '.join(template)} raised {exc!r} on {name}:\n{text}")
-                errors = [line for line in capsys.readouterr().err.splitlines()
-                          if line.startswith("error:")]
-                assert code in (0, 1), (template, name, text)
-                assert len(errors) == code, (template, name, text, errors)
-                runs[code] += 1
+                runs[_run(argv, capsys, f"{name}:\n{text}")] += 1
         (data / name).write_text(clean[name], encoding="utf-8")
     # the mutations reach both outcomes
+    assert min(runs.values()) > 0
+
+
+_TOKENS_PER_KEY = 8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # training on odd settings
+def test_odd_config_values_exit_0_or_1_with_at_most_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    # the folds train in this process, so an exception in one would escape here
+    monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
+    monkeypatch.chdir(tmp_path)  # a path key set to a token names a file here
+    rng = np.random.default_rng(2020)
+    runs = {0: 0, 1: 0}
+    for case, (key, token) in enumerate(
+        (key, str(token))
+        for key in _CONFIG_KEYS
+        for token in rng.choice(_TOKENS, _TOKENS_PER_KEY, replace=False)
+    ):
+        data, cfg = tmp_path / f"d{case}", tmp_path / f"c{case}.cfg"
+        settings = dict(
+            line.split(" = ") for line in _CONFIG.format(data=data).splitlines()
+        )
+        settings[key] = token
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+        what = f"{key} = {token!r}"
+        code = _run(["synth", "--config", str(cfg), "--out", str(data)], capsys, what)
+        if code == 0:
+            patients, labels = data / "patients.csv", data / "labels.csv"
+            assert _run(["label", str(patients), "--out", str(labels)], capsys, what) == 0
+            code = _run(["crossval", "--config", str(cfg), "--out", str(data / "run")],
+                        capsys, what)
+        runs[code] += 1
+    # the values reach both outcomes
     assert min(runs.values()) > 0

@@ -220,6 +220,51 @@ def test_train_equals_the_loop_it_replaced(lam, weight_decay, hidden_dims):
         assert params[k].tobytes() == ref_params[k].tobytes(), k
 
 
+def _subset_reference(ds, indices):
+    """The comprehension ``ScanDataset.subset`` replaced."""
+    idx = list(indices)
+    return ScanDataset(
+        [ds.scan_ids[i] for i in idx], [ds.patient_ids[i] for i in idx],
+        ds.features[idx], ds.t_d[idx], ds.p[idx], ds.y[idx],
+    )
+
+
+def _subset_patients_reference(ds, patient_set):
+    """The comprehension ``ScanDataset.subset_patients`` replaced."""
+    keep = set(patient_set)
+    return _subset_reference(ds, [i for i, pid in enumerate(ds.patient_ids) if pid in keep])
+
+
+def _assert_same_dataset(got, want):
+    assert got.scan_ids == want.scan_ids
+    assert got.patient_ids == want.patient_ids
+    for name in ("features", "t_d", "p", "y"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_subset_patients_equals_the_loop_it_replaced():
+    rng = np.random.default_rng(58)
+    # a patient's scans interleaved with other patients'
+    ds = _random_dataset(rng, 60, "s", input_dim=3)
+    ds = ds.subset(rng.permutation(len(ds)))
+    pats = ds.patients()
+    for patient_set in (
+        [pats[i] for i in rng.permutation(len(pats))[:12]],  # given out of order
+        tuple(pats[:5]) + ("nobody", "sp999"),  # ids not in the dataset
+        pats[3:6] * 2,  # duplicates
+        pats,
+        [],
+    ):
+        _assert_same_dataset(
+            ds.subset_patients(patient_set), _subset_patients_reference(ds, patient_set)
+        )
+    assert ds.subset_patients([]).features.shape == (0, 3)
+    assert ds.subset([]).features.shape == (0, 3)
+    for indices in ([], [4, 0, 4, 59], np.array([7, 2, 31]), np.arange(60)[::-2]):
+        _assert_same_dataset(ds.subset(indices), _subset_reference(ds, indices))
+
+
 def _roc_reference(scores, labels):
     """The ROC-point loop the vectorised version replaced, as a list of
     [threshold, fpr, tpr] rows."""

@@ -1,4 +1,7 @@
+import multiprocessing
+import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -430,6 +433,39 @@ def test_run_crossval_deterministic():
     assert r1.predictions.scan_ids == r2.predictions.scan_ids
     for name in ("y_hat", "t_pred", "fold"):
         assert getattr(r1.predictions, name).tobytes() == getattr(r2.predictions, name).tobytes()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers are forked"
+)
+def test_run_crossval_sends_its_workers_only_fold_numbers(monkeypatch):
+    import cfpt.model
+
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            sizes.append(len(pickle.dumps((fn, args, kwargs))))
+            return super().submit(fn, *args, **kwargs)
+
+    ds = _toy_dataset(np.random.default_rng(40), n_patients=30)
+    mcfg = ModelConfig(hidden_dims=(4,), seed=2)
+    tcfg = _fast_tcfg(max_epochs=2)
+    monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
+    here = run_crossval(ds, mcfg, tcfg, k=3)
+    monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cfpt.model, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_crossval(ds, mcfg, tcfg, k=3)
+
+    assert len(sizes) == 3 and max(sizes) < 1024, sizes
+    assert pooled.predictions.scan_ids == here.predictions.scan_ids
+    for name in ("y_hat", "t_pred", "fold"):
+        got, want = getattr(pooled.predictions, name), getattr(here.predictions, name)
+        assert got.tobytes() == want.tobytes(), name
+    assert pooled.folds == here.folds
+    assert repr(pooled.histories) == repr(here.histories)  # repr: NaN AUCs compare equal
+    assert cfpt.model._worker_crossval is None
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
