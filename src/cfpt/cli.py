@@ -423,14 +423,10 @@ def read_patients_csv(path) -> PatientTable:
     if clash.any():
         i = int(clash.argmax())
         raise SchemaError(f"{path} row {i + 2}: patient {pids[i]!r} contradicts its earlier rows")
-    order = np.lexsort((times, head))
-    rows = order.tolist()
     # each patient's diagnosis time from its first row: the other rows
     # equal it, though a zero's sign may differ
-    return PatientTable(
-        list(map(pids.__getitem__, rows)), cancer[order], diag[head[order]],
-        list(map(sids.__getitem__, rows)), np.asarray(times)[order],
-    )
+    table = PatientTable(pids, cancer, diag[head], sids, times)
+    return table.subset(np.lexsort((table.scan_times, head)))
 
 
 def write_scans_csv(path, features) -> None:

@@ -20,24 +20,63 @@ scan of a patient who is diagnosed years later carries ``p = 1`` but
 ``y = 0``.
 
 A cohort is one :class:`PatientTable` and its labels one
-:class:`LabelTable`, each a column per field and a row per scan: from the
-simulator or the patients CSV, through :func:`derive_scan_labels` and the
-labels CSV, to training and evaluation. The labels CSV adds a file column,
+:class:`LabelTable`, each a :class:`ScanTable`, a column per field and a
+row per scan: from the simulator or the patients CSV, through
+:func:`derive_scan_labels` and the labels CSV, to training and evaluation. The labels CSV adds a file column,
 ``right_censored``, written as ``1 - p`` and checked by :func:`contract_break`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
-def _check_lengths(table):
-    if len({len(column) for column in vars(table).values()}) > 1:
-        raise ValueError(f"{type(table).__name__} columns must have matching lengths")
+@dataclass(eq=False)
+class ScanTable:
+    """A table with a row per scan, a column per field: lists of str and
+    numpy arrays of one length.
+
+    A subclass declares its array columns' dtypes in the class attribute
+    ``dtypes``; each is converted on construction. A float column bound
+    for an int or bool dtype must hold exact integers (0 or 1 for bool): a
+    lossy cast raises ValueError naming the table and the column.
+    """
+
+    dtypes = {}
+
+    def __post_init__(self):
+        name = type(self).__name__
+        for column, dtype in self.dtypes.items():
+            values = np.asarray(getattr(self, column))
+            with np.errstate(invalid="ignore"):  # NaN or inf to int warns
+                cast = values.astype(dtype, copy=False)
+            to_int = values.dtype.kind == "f" and cast.dtype.kind in "biu"
+            if to_int and not np.array_equal(cast, values):
+                bad = float(values[cast != values][0])
+                raise ValueError(
+                    f"{name} column {column}: {bad!r} does not convert to {cast.dtype} exactly"
+                )
+            setattr(self, column, cast)
+        if len({len(getattr(self, f.name)) for f in fields(self)}) > 1:
+            raise ValueError(f"{name} columns must have matching lengths")
+
+    def __len__(self):
+        return len(getattr(self, fields(self)[0].name))
+
+    def subset(self, rows):
+        """The rows at ``rows``, a sequence or an integer array, in that
+        order: lists are indexed element by element, arrays fancy-indexed."""
+        idx = np.asarray(rows, dtype=np.intp)
+        picks = idx.tolist()
+        return type(self)(*(
+            column[idx] if isinstance(column, np.ndarray)
+            else list(map(column.__getitem__, picks))
+            for column in (getattr(self, f.name) for f in fields(self))
+        ))
 
 
 @dataclass(eq=False)
-class PatientTable:
+class PatientTable(ScanTable):
     """A cohort's longitudinal records, one row per scan, in the columns of
     ``patients.csv``.
 
@@ -56,18 +95,11 @@ class PatientTable:
     scan_ids: list
     scan_times: np.ndarray
 
-    def __post_init__(self):
-        self.is_cancer = np.asarray(self.is_cancer, dtype=bool)
-        self.diagnosis_time = np.asarray(self.diagnosis_time, dtype=np.float64)
-        self.scan_times = np.asarray(self.scan_times, dtype=np.float64)
-        _check_lengths(self)
-
-    def __len__(self):
-        return len(self.scan_ids)
+    dtypes = {"is_cancer": bool, "diagnosis_time": np.float64, "scan_times": np.float64}
 
 
 @dataclass(eq=False)
-class LabelTable:
+class LabelTable(ScanTable):
     """Training targets of a cohort, one row per scan, in parallel columns.
 
     ``scan_ids`` and ``patient_ids`` are lists of str; ``t_d`` is float64,
@@ -82,14 +114,7 @@ class LabelTable:
     p: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
-        self.t_d = np.asarray(self.t_d, dtype=np.float64)
-        self.p = np.asarray(self.p, dtype=np.int64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        _check_lengths(self)
-
-    def __len__(self):
-        return len(self.scan_ids)
+    dtypes = {"t_d": np.float64, "p": np.int64, "y": np.int64}
 
 
 def _repeats(keys) -> np.ndarray:

@@ -17,11 +17,11 @@ the region-1 + region-4 fraction of non-cancer scans, which by
 construction equals the plain fraction of those scans with ``P > T``.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
-from scipy.stats import binom, chi2
 
 # the default threshold grid (years) of the region analysis and threshold table
 THRESHOLDS = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -154,9 +154,9 @@ def mcnemar(correct_a, correct_b) -> McNemarResult:
         return McNemarResult(0, 0, float("nan"), 1.0, "undefined")
     statistic = (abs(b - c) - 1) ** 2 / n
     if n < 25:
-        p = min(1.0, 2.0 * float(binom.cdf(min(b, c), n, 0.5)))
+        p = min(1.0, 2 * sum(math.comb(n, i) for i in range(min(b, c) + 1)) / 2**n)
         return McNemarResult(b, c, statistic, p, "exact-binomial")
-    p = float(chi2.sf(statistic, df=1))
+    p = math.erfc(math.sqrt(statistic / 2.0))  # chi-square sf, 1 dof
     return McNemarResult(b, c, statistic, p, "chi-square")
 
 

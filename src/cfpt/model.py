@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .labels import LabelTable, _check_lengths
+from .labels import LabelTable, ScanTable
 # crl, crl_grad and cel stay importable here for perfbench's tracer, which
 # wraps functions in the namespace of the module that calls them
 from .losses import (  # noqa: F401
@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
+        if any(e < 1 for e in self.lr_decay_epochs):
+            raise ValueError(f"lr_decay_epochs must be >= 1, got {self.lr_decay_epochs}")
         if not 0 < self.lr_decay_factor < 1:
             raise ValueError(
                 f"lr_decay_factor must lie in (0, 1), got {self.lr_decay_factor}"
@@ -93,22 +95,20 @@ class TrainHistory:
     selected_epoch: int  # 1-based epoch whose snapshot was returned
 
 
-@dataclass
-class ScanDataset:
-    """Per-scan features and labels, kept in parallel arrays."""
+@dataclass(eq=False)
+class ScanDataset(ScanTable):
+    """Per-scan features and labels, kept in parallel columns: ``features``
+    float64 of shape ``(n_scans, input_dim)``, ``t_d`` float64, ``p`` and
+    ``y`` int64, converted on construction."""
 
     scan_ids: list[str]
     patient_ids: list[str]
-    features: np.ndarray  # (n_scans, input_dim)
+    features: np.ndarray
     t_d: np.ndarray
     p: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
-        _check_lengths(self)
-
-    def __len__(self):
-        return len(self.scan_ids)
+    dtypes = {"features": np.float64, "t_d": np.float64, "p": np.int64, "y": np.int64}
 
     @property
     def input_dim(self) -> int:
@@ -135,24 +135,7 @@ class ScanDataset:
 
     def patients(self) -> list[str]:
         """Unique patient ids, in first-appearance order."""
-        seen = {}
-        for pid in self.patient_ids:
-            seen.setdefault(pid, None)
-        return list(seen)
-
-    def subset(self, indices) -> "ScanDataset":
-        """The scans at ``indices``, a sequence or an integer array, in
-        that order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        return ScanDataset(
-            list(map(self.scan_ids.__getitem__, rows)),
-            list(map(self.patient_ids.__getitem__, rows)),
-            self.features[idx],
-            self.t_d[idx],
-            self.p[idx],
-            self.y[idx],
-        )
+        return list(dict.fromkeys(self.patient_ids))
 
     def subset_patients(self, patient_set) -> "ScanDataset":
         """The scans of the patients in ``patient_set``, in dataset order."""
@@ -180,7 +163,8 @@ def build_dataset(labels: LabelTable, features) -> ScanDataset:
     pair with one matrix row per scan, by scan id; label order is
     preserved. A matrix of another shape raises ValueError naming it; a
     labeled scan without features, non-finite features or t_d, and
-    non-binary p or y raise ValueError naming the scan."""
+    non-binary p or y raise ValueError naming the scan. The dataset holds
+    the label table's columns themselves, not copies."""
     scan_ids, matrix = _feature_matrix(features, "features")
     row = dict(zip(scan_ids, range(len(scan_ids))))
     missing = [sid for sid in labels.scan_ids if sid not in row]
@@ -188,12 +172,7 @@ def build_dataset(labels: LabelTable, features) -> ScanDataset:
         raise ValueError(f"features missing for scans: {missing[:5]}")
     rows = np.fromiter(map(row.__getitem__, labels.scan_ids), np.intp, len(labels))
     ds = ScanDataset(
-        list(labels.scan_ids),
-        list(labels.patient_ids),
-        matrix[rows],
-        labels.t_d.copy(),
-        labels.p.copy(),
-        labels.y.copy(),
+        labels.scan_ids, labels.patient_ids, matrix[rows], labels.t_d, labels.p, labels.y
     )
     ds.validate()
     return ds
@@ -522,7 +501,7 @@ def train(
 
 
 @dataclass(eq=False)
-class PredictionTable:
+class PredictionTable(ScanTable):
     """Model outputs, one row per scan, in parallel columns: the
     malignancy probability ``y_hat``, the predicted CFPT ``t_pred`` (both
     float64) and the test ``fold`` (int64) whose model made them."""
@@ -532,14 +511,7 @@ class PredictionTable:
     t_pred: np.ndarray
     fold: np.ndarray
 
-    def __post_init__(self):
-        self.y_hat = np.asarray(self.y_hat, dtype=np.float64)
-        self.t_pred = np.asarray(self.t_pred, dtype=np.float64)
-        self.fold = np.asarray(self.fold, dtype=np.int64)
-        _check_lengths(self)
-
-    def __len__(self):
-        return len(self.scan_ids)
+    dtypes = {"y_hat": np.float64, "t_pred": np.float64, "fold": np.int64}
 
 
 def predict(params: dict, dataset: ScanDataset, fold: int) -> PredictionTable:
@@ -667,8 +639,8 @@ def run_crossval(
     assignments = crossval_split(dataset.patients(), k, tcfg.seed)
     crossval = (dataset, assignments, mcfg, tcfg)
     workers = min(k, _available_cpus())
-    # fork, not spawn: a spawned worker imports numpy, scipy and cfpt again,
-    # 1.2-1.5 s on a 2-vCPU VM, longer than a whole 4-epoch reference
+    # fork, not spawn: a spawned worker imports numpy, scipy.special and cfpt
+    # again, 0.5 s on a 2-vCPU VM, longer than a whole 4-epoch reference
     # crossval there, and would need the dataset pickled. In the CLI the
     # only other threads are OpenBLAS's, which it stops before a fork
     # (pthread_atfork).

@@ -196,6 +196,15 @@ def test_mode_override_replaces_the_configured_mode_before_validation(tmp_path, 
     assert main([*argv, "--out", str(tmp_path / "run")]) == 0, capsys.readouterr().err
 
 
+def test_crossval_rejects_a_decay_epoch_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("train.lr_decay_epochs = -1\n", encoding="utf-8")
+    assert main(["crossval", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:config: lr_decay_epochs must be >= 1")
+    assert not (tmp_path / "run").exists()
+
+
 def test_synth_has_no_mode_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--mode", "multi_task", "--out", str(tmp_path / "out")])

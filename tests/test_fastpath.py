@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from cfpt.cli import (
     cmd_synth,
     main,
 )
+from cfpt.labels import LabelTable, PatientTable
 from cfpt.losses import LossConfig, cel, crl, crl_grad, fused_joint_loss, joint_loss_grad
 from cfpt.metrics import km_estimate, roc_auc
 from cfpt.model import (
@@ -35,6 +37,7 @@ from cfpt.model import (
     ADAM_EPS,
     AdamState,
     ModelConfig,
+    PredictionTable,
     ScanDataset,
     TrainConfig,
     TrainHistory,
@@ -263,6 +266,46 @@ def test_subset_patients_equals_the_loop_it_replaced():
     assert ds.subset([]).features.shape == (0, 3)
     for indices in ([], [4, 0, 4, 59], np.array([7, 2, 31]), np.arange(60)[::-2]):
         _assert_same_dataset(ds.subset(indices), _subset_reference(ds, indices))
+
+
+def _random_table(kind, rng, n):
+    """A ``kind`` table of ``n`` rows with random columns."""
+    ids, pids = [f"s{i}" for i in range(n)], [f"p{i // 3}" for i in range(n)]
+    if kind is PatientTable:
+        diag = np.where(rng.random(n) < 0.5, np.nan, rng.normal(size=n))
+        return PatientTable(pids, rng.integers(0, 2, n), diag, ids, rng.normal(size=n))
+    if kind is LabelTable:
+        return LabelTable(ids, pids, rng.normal(size=n), rng.integers(0, 2, n),
+                          rng.integers(0, 2, n))
+    if kind is PredictionTable:
+        return PredictionTable(ids, rng.random(n), rng.normal(size=n), rng.integers(0, 5, n))
+    return _random_dataset(rng, n, "d", input_dim=3)
+
+
+@pytest.mark.parametrize("kind", [PatientTable, LabelTable, ScanDataset, PredictionTable])
+def test_every_table_subset_equals_per_column_indexing(kind):
+    rng = np.random.default_rng(59)
+    table = _random_table(kind, rng, 20)
+    for rows in (
+        rng.permutation(20),
+        np.arange(20)[::-1],  # reversed
+        [4, 0, 4, 19, 4],  # duplicates
+        [],
+        np.array([7, 2, 3]),
+        np.array([], dtype=np.int64),
+    ):
+        got = table.subset(rows)
+        assert type(got) is kind and len(got) == len(rows)
+        for f in fields(table):
+            column, picked = getattr(table, f.name), getattr(got, f.name)
+            if isinstance(column, list):
+                assert picked == [column[i] for i in rows], f.name
+            else:
+                want = column[list(rows)]
+                assert (picked.dtype, picked.shape, picked.tobytes()) == (
+                    want.dtype, want.shape, want.tobytes()), f.name
+    if kind is ScanDataset:
+        assert table.subset([]).features.shape == (0, 3)
 
 
 def _roc_reference(scores, labels):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfpt.labels import LabelTable, PatientTable, derive_scan_labels
+from cfpt.model import PredictionTable
 from helpers import (
     Record,
     check_label_invariants,
@@ -86,6 +87,21 @@ def test_explicit_scan_ids_are_kept():
 def test_patient_table_columns_must_match():
     with pytest.raises(ValueError, match="PatientTable columns must have matching lengths"):
         PatientTable(["a", "a"], [False], [math.nan] * 2, ["x1", "x2"], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan])
+@pytest.mark.parametrize("table, column, make", [
+    ("LabelTable", "p", lambda v: LabelTable(["x1", "x2"], ["a"] * 2, [1.0, 2.0], [1, v], [0, 1])),
+    ("LabelTable", "y", lambda v: LabelTable(["x1", "x2"], ["a"] * 2, [1.0, 2.0], [1, 1], [1, v])),
+    ("PredictionTable", "fold", lambda v: PredictionTable(["x1", "x2"], [0.1] * 2, [1.0] * 2,
+                                                          [1, v])),
+    ("PatientTable", "is_cancer", lambda v: PatientTable(["a"] * 2, [1, v], [0.5] * 2,
+                                                         ["x1", "x2"], [0.0, 1.0])),
+], ids=["LabelTable.p", "LabelTable.y", "PredictionTable.fold", "PatientTable.is_cancer"])
+def test_a_lossy_cast_of_a_float_column_raises_naming_table_and_column(table, column, make, bad):
+    with pytest.raises(ValueError, match=f"^{table} column {column}: "):
+        make(bad)
+    assert getattr(make(1.0), column).tolist() == [1, 1]  # exact floats convert
 
 
 def test_validate_record_accepts_valid():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,6 +130,26 @@ def test_mcnemar_chi_square_branch():
     assert res.method == "chi-square"
     assert res.statistic == pytest.approx((abs(20 - 10) - 1) ** 2 / 30, abs=1e-12)
     assert 0.0 <= res.p_value <= 1.0
+
+
+def test_mcnemar_chi_square_p_value_matches_scipy():
+    from scipy.stats import chi2
+
+    for b, c in ((20, 10), (13, 12), (30, 0), (60, 1), (400, 310), (0, 25)):
+        res = mcnemar(*_correctness_vectors(b, c))
+        assert res.method == "chi-square"
+        assert res.p_value == pytest.approx(chi2.sf(res.statistic, df=1), rel=1e-12, abs=0)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, cfpt.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
 
 
 def test_mcnemar_branches_agree_near_switchover():

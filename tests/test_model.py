@@ -231,6 +231,13 @@ def test_adam_rejects_mismatches():
         adam_step(state, {"w": np.array([1.0, 2.0])}, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("epochs", [(-1, 0), (0,), (40, 0, 80), (-5,)])
+def test_train_config_rejects_a_decay_epoch_below_one(epochs):
+    with pytest.raises(ValueError, match=r"^lr_decay_epochs must be >= 1"):
+        TrainConfig(lr_decay_epochs=epochs)
+    assert TrainConfig(lr_decay_epochs=(1,)).lr_decay_epochs == (1,)
+
+
 def test_effective_lr_schedule():
     tcfg = TrainConfig(lr0=1e-3, lr_decay_factor=0.4, lr_decay_epochs=(40, 60, 80))
     assert effective_lr(1, tcfg) == 1e-3
