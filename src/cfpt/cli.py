@@ -24,12 +24,11 @@ as a :class:`~cfpt.labels.LabelTable`, predictions as a
 
 import argparse
 import csv
-import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -207,9 +206,9 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 #   bit     0 or 1
 #   int     an integer
 #   index   an integer >= 0
-# Float columns repeat their values (a patient's features on each of its
-# scans, a handful of scan times), so a column's floats are formatted once
-# per distinct bit pattern; each cell is parsed once.
+# A numeric column is read into a numpy array, each cell parsed by float()
+# or int(). Float columns repeat their values (a patient's features on each
+# of its scans), so a column's floats are formatted once per bit pattern.
 
 
 def _unique(cells):
@@ -218,41 +217,42 @@ def _unique(cells):
     return cells
 
 
-def _floats(cells, empty=None):
-    """The finite floats of ``cells``, an empty cell read as ``empty``
-    unless that is None."""
-    if empty is None:
-        out = list(map(float, cells))
-    else:
-        out = [float(c) if c else empty for c in cells]
-    if not all(map(math.isfinite, compress(out, cells))):  # the non-empty cells
+def _floats(cells, optional=False):
+    """The finite floats of ``cells`` as a float64 array; an empty cell
+    reads as NaN when ``optional``."""
+    out = np.array([c or "nan" for c in cells] if optional else cells, dtype=np.float64)
+    bad = ~np.isfinite(out)
+    if optional:
+        bad &= np.array(cells, dtype=str) != ""
+    if bad.any():
         raise ValueError
     return out
 
 
 def _probabilities(cells):
     out = _floats(cells)
-    if out and not 0.0 <= min(out) <= max(out) <= 1.0:
+    if len(out) and not 0.0 <= out.min() <= out.max() <= 1.0:
         raise ValueError
     return out
 
 
 def _indices(cells):
-    out = list(map(int, cells))
-    if out and min(out) < 0:
+    out = np.array(cells, dtype=np.int64)
+    if len(out) and out.min() < 0:
         raise ValueError
     return out
 
 
-# kind -> (parse a column of cells or raise ValueError, complaint about a bad cell)
+# kind -> (parse a column of cells or raise ValueError/OverflowError, complaint about a bad cell)
 _PARSE = {
     "str": (lambda cells: cells, None),
     "key": (_unique, "duplicate {!r}"),
     "float": (_floats, "not a finite number: {!r}"),
-    "float?": (lambda cells: _floats(cells, math.nan), "neither empty nor a finite number: {!r}"),
+    "float?": (lambda cells: _floats(cells, True), "neither empty nor a finite number: {!r}"),
     "prob": (_probabilities, "not a number in [0, 1]: {!r}"),
-    "bit": (lambda cells: list(map(("0", "1").index, cells)), "expected 0 or 1, got {!r}"),
-    "int": (lambda cells: list(map(int, cells)), "not an integer: {!r}"),
+    "bit": (lambda cells: np.fromiter(map(("0", "1").index, cells), np.int64),
+            "expected 0 or 1, got {!r}"),
+    "int": (lambda cells: np.array(cells, dtype=np.int64), "not an integer: {!r}"),
     "index": (_indices, "not an integer >= 0: {!r}"),
 }
 
@@ -319,7 +319,7 @@ def _parse_column(path, name, kind, cells):
     parse, complaint = _PARSE[kind]
     try:
         return parse(cells)
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     # a column's check fails on a prefix of it exactly when the prefix holds
     # a bad cell, so the shortest failing prefix ends at the first one
@@ -329,7 +329,7 @@ def _parse_column(path, name, kind, cells):
         try:
             parse(cells[:mid])
             good = mid
-        except ValueError:
+        except (ValueError, OverflowError):
             bad = mid
     raise SchemaError(f"{path} row {bad + 1}: column {name}: " + complaint.format(cells[bad - 1]))
 
@@ -417,8 +417,6 @@ def read_patients_csv(path) -> PatientTable:
         np.asarray(pids, dtype=str), return_index=True, return_inverse=True
     )
     head = first[patient]  # each row's patient's first row
-    cancer = np.asarray(cancer, dtype=bool)
-    diag = np.asarray(diag, dtype=np.float64)
     clash = outcome_disagrees(cancer, diag, head)
     if clash.any():
         i = int(clash.argmax())
@@ -450,12 +448,8 @@ def read_scans_csv(path) -> tuple:
     scan in file order; a NaN or inf anywhere fails with its row and column."""
     loaded = _load_csv(path)
     names = [f"f{j}" for j in range(max(len(loaded[0] or ()) - 1, 1))]
-    ids, *columns = _read_csv(path, {"scan_id": "key", **dict.fromkeys(names, "str")}, loaded)
-    # parsed a column at a time, so one column of Python floats is alive at once
-    mat = np.empty((len(ids), len(names)))
-    for j, (name, cells) in enumerate(zip(names, columns)):
-        mat[:, j] = _parse_column(path, name, "float", cells)
-    return ids, mat
+    ids, *columns = _read_csv(path, {"scan_id": "key", **dict.fromkeys(names, "float")}, loaded)
+    return ids, np.column_stack(columns)
 
 
 def write_truth_csv(path, onsets: dict) -> None:

@@ -37,8 +37,8 @@ class ScanTable:
     numpy arrays of one length.
 
     A subclass declares its array columns' dtypes in the class attribute
-    ``dtypes``; each is converted on construction. A float column bound
-    for an int or bool dtype must hold exact integers (0 or 1 for bool): a
+    ``dtypes``; each is converted on construction. A numeric column bound
+    for an int or bool dtype must keep its values (0 or 1 for bool): a
     lossy cast raises ValueError naming the table and the column.
     """
 
@@ -50,9 +50,9 @@ class ScanTable:
             values = np.asarray(getattr(self, column))
             with np.errstate(invalid="ignore"):  # NaN or inf to int warns
                 cast = values.astype(dtype, copy=False)
-            to_int = values.dtype.kind == "f" and cast.dtype.kind in "biu"
-            if to_int and not np.array_equal(cast, values):
-                bad = float(values[cast != values][0])
+            numeric = values.dtype.kind in "biuf"
+            if numeric and cast.dtype.kind in "biu" and not np.array_equal(cast, values):
+                bad = values[cast != values][0].item()
                 raise ValueError(
                     f"{name} column {column}: {bad!r} does not convert to {cast.dtype} exactly"
                 )
@@ -204,7 +204,7 @@ def contract_break(labels: LabelTable, right_censored):
     """The first cell of a labels file that breaks the labels contract, as
     ``(row, column, rule)`` with ``row`` counted from 0, or None.
 
-    ``right_censored`` is the file's column of that name. The contract,
+    ``right_censored`` is the file's column of that name, an array. The contract,
     which :func:`derive_scan_labels` meets by construction: a scan with
     ``p = 0`` has ``t_d >= 1``, ``y = 0`` and ``right_censored = 1``; a
     scan with ``p = 1`` has ``right_censored = 0``. Of the cells that
@@ -214,7 +214,7 @@ def contract_break(labels: LabelTable, right_censored):
     breaks = {  # file column -> (rule, whether each row breaks it)
         "t_d": ("p = 0 requires t_d >= 1", never & (labels.t_d < 1.0)),
         "y": ("p = 0 requires y = 0", never & (labels.y != 0)),
-        "right_censored": ("right_censored must be 1 - p", np.asarray(right_censored) != never),
+        "right_censored": ("right_censored must be 1 - p", right_censored != never),
     }
     bad = np.logical_or.reduce([flags for _, flags in breaks.values()])
     if not bad.any():

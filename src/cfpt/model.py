@@ -161,12 +161,16 @@ def _feature_matrix(features, what: str) -> tuple:
 def build_dataset(labels: LabelTable, features) -> ScanDataset:
     """Join a :class:`LabelTable` to ``features``, a ``(scan_ids, matrix)``
     pair with one matrix row per scan, by scan id; label order is
-    preserved. A matrix of another shape raises ValueError naming it; a
-    labeled scan without features, non-finite features or t_d, and
-    non-binary p or y raise ValueError naming the scan. The dataset holds
-    the label table's columns themselves, not copies."""
+    preserved. A matrix of another shape or a repeated scan id raises
+    ValueError naming it; a labeled scan without features, non-finite
+    features or t_d, and non-binary p or y raise ValueError naming the
+    scan. The dataset holds the label table's columns themselves, not
+    copies."""
     scan_ids, matrix = _feature_matrix(features, "features")
     row = dict(zip(scan_ids, range(len(scan_ids))))
+    if len(row) < len(scan_ids):  # a repeated id keeps only its last row
+        repeat = next(sid for i, sid in enumerate(scan_ids) if row[sid] != i)
+        raise ValueError(f"features repeat scan id {repeat!r}")
     missing = [sid for sid in labels.scan_ids if sid not in row]
     if missing:
         raise ValueError(f"features missing for scans: {missing[:5]}")

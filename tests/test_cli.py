@@ -166,6 +166,11 @@ def test_config_mode_invariants():
     assert ExperimentConfig().train.loss.lam == 0.5
 
 
+def test_config_rejects_a_single_fold():
+    with pytest.raises(ConfigError, match=r"^k_folds must be >= 2, got 1$"):
+        build_experiment_config({"k_folds": "1"})
+
+
 def test_experiment_config_takes_its_model_defaults_from_model_config():
     assert ExperimentConfig().model == ModelConfig()
 
@@ -465,6 +470,15 @@ def test_patients_csv_contradictory_rows(tmp_path):
         read_patients_csv(path)
 
 
+def test_patients_csv_refuses_an_empty_patient_id(tmp_path):
+    path = tmp_path / "patients.csv"
+    header, *rows = _CLEAN_CSV["patients.csv"]
+    path.write_text("\n".join([header, rows[0], "," + rows[1].split(",", 1)[1]]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))} row 3: empty patient_id$"):
+        read_patients_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # the CSV text core against the csv module it replaced
 
@@ -595,6 +609,50 @@ def test_a_bad_cell_among_repeats_is_named_by_its_first_row(tmp_path, kind, bad)
     with pytest.raises(SchemaError) as err:
         cli._read_csv(path, {"k": "key", "v": kind})
     assert str(err.value) == f"{path} row 139: column v: {complaint}"
+
+
+def _python_parse(kind, text):
+    """What Python makes of a ``kind`` cell: float() or int() of it, NaN for
+    an empty optional float, or None when the kind refuses the text."""
+    try:
+        if kind == "bit":
+            return ("0", "1").index(text)
+        if kind in ("int", "index"):
+            value = int(text)
+            low = 0 if kind == "index" else -2**63
+            return value if low <= value < 2**63 else None
+        if kind == "float?" and text == "":
+            return math.nan
+        value = float(text)
+    except ValueError:
+        return None
+    if not math.isfinite(value) or (kind == "prob" and not 0.0 <= value <= 1.0):
+        return None
+    return value
+
+
+_NUMERIC_TEXTS = [
+    "0", "1", "-1", "2", "0.5", "1.5", " 1", "1_0", "\u0661\u0662", "1e400", "nan", "0x10", "",
+    "99999999999999999999", "-9223372036854775809", "9223372036854775807",
+]
+
+
+@pytest.mark.parametrize("text", _NUMERIC_TEXTS)
+@pytest.mark.parametrize("kind", ["float", "float?", "prob", "int", "index", "bit"])
+def test_a_numeric_column_accepts_exactly_what_python_parses(tmp_path, kind, text):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"k,v\na,1\nb,{text}\n", encoding="utf-8")
+    expected = _python_parse(kind, text)
+    if expected is None:
+        complaint = cli._PARSE[kind][1].format(text)
+        with pytest.raises(SchemaError) as err:
+            cli._read_csv(path, {"k": "key", "v": kind})
+        assert str(err.value) == f"{path} row 3: column v: {complaint}"
+        return
+    _, column = cli._read_csv(path, {"k": "key", "v": kind})
+    dtype = np.float64 if kind in ("float", "float?", "prob") else np.int64
+    assert isinstance(column, np.ndarray) and column.dtype == dtype
+    assert column[1] == expected or (math.isnan(expected) and math.isnan(column[1]))
 
 
 _LABELS_HEADER = "scan_id,patient_id,t_d,p,y,right_censored"
@@ -794,6 +852,18 @@ def test_cmd_crossval_requires_paths(tmp_path):
         cmd_crossval(ExperimentConfig(), tmp_path / "x")
 
 
+def test_cmd_crossval_refuses_a_labels_file_with_no_rows(tmp_path):
+    from cfpt.cli import cmd_crossval
+
+    labels, scans = tmp_path / "labels.csv", tmp_path / "scans.csv"
+    labels.write_text(_CLEAN_CSV["labels.csv"][0] + "\n", encoding="utf-8")
+    scans.write_text(_CLEAN_CSV["scans.csv"][0] + "\n", encoding="utf-8")
+    cfg = ExperimentConfig(paths={"labels": str(labels), "scans": str(scans)})
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(labels))}: no scans to train on$"):
+        cmd_crossval(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def _perfect_predictions(labels):
     return PredictionTable(labels.scan_ids, labels.y, np.maximum(labels.t_d, 0.0),
                            np.zeros(len(labels)))
@@ -846,6 +916,17 @@ def test_cmd_km(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "time,survival,at_risk,events"
     assert len(lines) == len(km.times) + 1
+
+
+def test_cmd_km_refuses_labels_with_only_post_biopsy_scans(tmp_path):
+    labels_csv, out = tmp_path / "labels.csv", tmp_path / "km.csv"
+    labels_csv.write_text(
+        "\n".join([_CLEAN_CSV["labels.csv"][0], "s0,pa,-1.0,1,1,0", "s1,pa,-0.5,1,1,0"]) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match="no scans with non-negative t_d$"):
+        cmd_km(labels_csv, out)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +989,36 @@ def test_main_eval_rejects_predictions_outside_their_range(tmp_path, capsys):
         assert line.startswith(f"error:schema: {predictions} row ")
         assert f"column {column}: " in line
         assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("fold", ["99999999999999999999", "-9223372036854775809"])
+def test_main_eval_names_an_integer_beyond_int64(tmp_path, capsys, fold):
+    labels, predictions = tmp_path / "labels.csv", tmp_path / "predictions.csv"
+    labels.write_text("\n".join(_CLEAN_CSV["labels.csv"]) + "\n", encoding="utf-8")
+    header, *rows = _CLEAN_CSV["predictions.csv"]
+    predictions.write_text("\n".join([header, rows[0], f"s1,0.25,2.0,{fold}"]) + "\n",
+                           encoding="utf-8")
+    assert main(["eval", str(predictions), str(labels), "--out", str(tmp_path / "r")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error:schema: {predictions} row 3: column fold: not an integer >= 0: {fold!r}"
+    assert not (tmp_path / "r").exists()
+
+
+def test_main_eval_prints_mcnemar_of_a_second_prediction_set(tmp_path, capsys):
+    labels = derive_scan_labels(_patients())
+    labels_csv, preds_csv, b_csv = (tmp_path / name for name in ("l.csv", "a.csv", "b.csv"))
+    write_labels_csv(labels_csv, labels)
+    preds = _perfect_predictions(labels)
+    write_predictions_csv(preds_csv, preds)
+    preds.y_hat[0] = 1.0 - preds.y_hat[0]  # set b misclassifies one scan
+    write_predictions_csv(b_csv, preds)
+    argv = ["eval", str(preds_csv), str(labels_csv), "--predictions-b", str(b_csv)]
+    assert main([*argv, "--out", str(tmp_path / "r")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[:2] == [
+        "auc: 1.000000", "mcnemar: b=1 c=0 p=1 (exact-binomial)",
+    ]
 
 
 @pytest.mark.parametrize("row, column", [

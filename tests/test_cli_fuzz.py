@@ -30,6 +30,7 @@ _COMMANDS = {
 _TOKENS = [
     "", "x", "0", "1", "2", "-1", "0.5", "-0.0", "1.5", "1e308", "-1e308", "5e-324",
     "nan", "inf", "-inf", '"', '"a,b"', " 1", "s0",
+    "99999999999999999999", "-9223372036854775809",  # beyond int64
 ]
 _CASES_PER_FILE = 40
 

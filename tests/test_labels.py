@@ -104,6 +104,16 @@ def test_a_lossy_cast_of_a_float_column_raises_naming_table_and_column(table, co
     assert getattr(make(1.0), column).tolist() == [1, 1]  # exact floats convert
 
 
+def test_a_lossy_cast_of_an_integer_column_raises_naming_table_and_column():
+    with pytest.raises(ValueError, match=r"^PatientTable column is_cancer: 2 does not convert"):
+        PatientTable(["a"], [2], [math.nan], ["x"], [0.0])
+    with pytest.raises(ValueError, match=r"^PredictionTable column fold: 9223372036854775808 "):
+        PredictionTable(["x"], [0.5], [1.0], np.array([2**63], dtype=np.uint64))
+    assert PatientTable(["a"], [1], [0.5], ["x"], [0.0]).is_cancer.tolist() == [True]
+    labels = LabelTable(["x"], ["a"], [1.0], [True], np.array([0], dtype=np.uint8))
+    assert labels.p.tolist() == [1] and labels.y.dtype == np.int64  # exact integers convert
+
+
 def test_validate_record_accepts_valid():
     labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.0), True, diagnosis_time=0.5)))
     assert len(labels) == 2

@@ -76,6 +76,15 @@ def test_auc_rejects_single_class():
         roc_auc([0.1, 0.9], [0, 2])
 
 
+@pytest.mark.parametrize("scores, labels", [
+    ([0.1, 0.9, 0.5], [0, 1]),
+    ([[0.1, 0.9]], [[0, 1]]),
+])
+def test_auc_rejects_mismatched_or_multi_dimensional_inputs(scores, labels):
+    with pytest.raises(ValueError, match="^scores and labels must be 1-d and equally long$"):
+        roc_auc(scores, labels)
+
+
 # ---------------------------------------------------------------------------
 # mcnemar
 

@@ -406,6 +406,11 @@ def test_crossval_split_determinism_and_errors():
         crossval_split(["a", "a", "b"], k=2, seed=0)
 
 
+def test_crossval_split_refuses_a_fold_with_no_training_patient():
+    with pytest.raises(ValueError, match="^fold leaves an empty training set"):
+        crossval_split(["a", "b"], k=2, seed=0)
+
+
 def test_fold_seed_stable_and_distinct():
     assert fold_seed(0, 0) == fold_seed(0, 0)
     seeds = {fold_seed(7, f) for f in range(5)}
@@ -528,6 +533,12 @@ def test_build_dataset_rejects_bad_values(column, value, match):
         getattr(labels, column)[1] = value
     with pytest.raises(ValueError, match=match):
         build_dataset(labels, feats)
+
+
+def test_build_dataset_refuses_a_repeated_feature_scan_id():
+    feats = (["s1", "s2", "s1"], np.array([[1.0], [2.0], [3.0]]))
+    with pytest.raises(ValueError, match=r"^features repeat scan id 's1'$"):
+        build_dataset(_two_labels(), feats)
 
 
 def test_train_validates_datasets_at_entry():

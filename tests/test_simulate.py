@@ -47,6 +47,11 @@ def test_config_validation():
                 CohortConfig(**{name: value})
 
 
+def test_config_needs_a_feature_column():
+    with pytest.raises(ValueError, match=r"^feature_dim must be >= 1, got 0$"):
+        CohortConfig(feature_dim=0)
+
+
 def test_schedule_without_dropout():
     patients, (scan_ids, features), _ = generate_cohort(_small_cfg(dropout_prob=0.0))
     for rec in records_of(patients):
