@@ -28,7 +28,7 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -208,7 +208,11 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 #   index   an integer >= 0
 # A numeric column is read into a numpy array, each cell parsed by float()
 # or int(). Float columns repeat their values (a patient's features on each
-# of its scans), so a column's floats are formatted once per bit pattern.
+# of its scans), so a block's floats are formatted once per bit pattern.
+# Files are read and written a block of rows at a time, so the cells of one
+# block, not of the whole file, are held at once.
+
+_ROWS = 2048  # rows per block
 
 
 def _unique(cells):
@@ -315,7 +319,9 @@ _HISTORY = {
 _FOLDS = {"patient_id": "str", "test_fold": "int"}
 
 
-def _parse_column(path, name, kind, cells):
+def _parse_column(path, name, kind, cells, row):
+    """A column of ``cells``, the first of them row ``row`` of the file,
+    parsed by ``kind``."""
     parse, complaint = _PARSE[kind]
     try:
         return parse(cells)
@@ -331,72 +337,98 @@ def _parse_column(path, name, kind, cells):
             good = mid
         except (ValueError, OverflowError):
             bad = mid
-    raise SchemaError(f"{path} row {bad + 1}: column {name}: " + complaint.format(cells[bad - 1]))
+    raise SchemaError(
+        f"{path} row {row + bad - 1}: column {name}: " + complaint.format(cells[bad - 1])
+    )
 
 
-def _load_csv(path) -> tuple:
-    """A CSV file's header (None in an empty file), the row number and width
-    of its first data row whose width is not the header's (None when there is
-    none), and, when there is none, its data columns."""
+def _blocks(path):
+    """A CSV file's header (None in an empty file), then its data rows in
+    blocks of up to ``_ROWS``: each the number of its first row and its
+    columns of cells. A row not as wide as the header raises SchemaError.
+    The caller is done with a block when it asks for the next one."""
     with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines[-1]:
-        lines.pop()  # the last line's terminator
-    if lines and "" not in lines and len(set(map(str.count, lines, repeat(",")))) == 1:
-        whole = ",".join(lines)
-        if '"' not in whole and "\r" not in whole:
-            # a row per line, a cell per comma and every row as wide as the
-            # header: one split of the whole file and a slice per column, so
-            # no list is built per row
-            n = lines[0].count(",") + 1
-            del lines  # before the split, which holds every cell at once
-            cells = whole.split(",")
-            return cells[:n], None, [cells[j::n] for j in range(n, 2 * n)]
-    # quoted cells, CR line ends, empty lines or rows of the wrong width
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return None, None, []
-    header, *body = rows
-    misfit = next(((i, len(r)) for i, r in enumerate(body, 2) if len(r) != len(header)), None)
-    if misfit:
-        return header, misfit, None
-    return header, None, [list(map(itemgetter(j), body)) for j in range(len(header))]
+        header = next(csv.reader(fh), None)
+        yield header
+        width, row, records = len(header or ()), 2, None
+        while block := list(islice(records or fh, _ROWS)):
+            n = len(block)
+            if records is not None:
+                misfit = next((i for i, r in enumerate(block) if len(r) != width), None)
+                if misfit is not None:
+                    raise SchemaError(f"{path} row {row + misfit}: expected {width} fields, "
+                                      f"got {len(block[misfit])}")
+                columns = [list(map(itemgetter(j), block)) for j in range(width)]
+                del block  # its rows: the columns hold their cells
+            elif ('"' in (text := "".join(block)) or "\r" in text or "\n" in block
+                  or set(map(str.count, block, repeat(","))) != {width - 1}):
+                # quoted cells, CR line ends, empty lines or rows of the wrong
+                # width: the csv module reads the rest, from this block on,
+                # where a quoted cell may span lines
+                records, text = csv.reader(chain(block, fh)), None
+                continue
+            else:
+                # a row per line, a cell per comma and every row as wide as
+                # the header: one split of the block and a slice per column
+                del block  # before the split, which holds every cell of the block
+                cells = text.replace("\n", ",").split(",")
+                if text[-1] == "\n":
+                    cells.pop()  # the last line's terminator
+                del text
+                columns = [cells[j::width] for j in range(width)]
+                del cells
+            yield row, columns
+            columns.clear()  # the block's cells go before the next is read
+            row += n
 
 
-def _read_csv(path, schema, loaded=None) -> list:
+def _read_csv(path, schema) -> list:
     """The columns of a CSV file whose header is ``schema``'s names, each
-    parsed by its kind; a bad row or cell fails naming its row and column.
-    ``loaded`` is the file's :func:`_load_csv`, when the caller has it."""
-    header = list(schema)
-    got, misfit, columns = _load_csv(path) if loaded is None else loaded
+    parsed by its kind a block of rows at a time; a bad row or cell fails
+    naming its row and column."""
+    header, blocks = list(schema), _blocks(path)
+    got = next(blocks)
     if got is None:
         raise SchemaError(f"{path} row 1: missing header")
     if got != header:
         raise SchemaError(f"{path} row 1: expected header {','.join(header)}, got {','.join(got)}")
-    if misfit:
-        raise SchemaError(f"{path} row {misfit[0]}: expected {len(header)} fields, got {misfit[1]}")
-    return [
-        _parse_column(path, name, kind, cells)
-        for (name, kind), cells in zip(schema.items(), columns)
-    ]
+    kinds = list(schema.values())
+    parts = [[] for _ in kinds]  # a text column's cells; a number column's arrays, one per block
+    for row, columns in blocks:
+        for name, kind, cells, part in zip(header, kinds, columns, parts):
+            parsed = _parse_column(path, name, kind, cells, row)
+            if kind in ("str", "key"):
+                part.extend(parsed)
+            else:
+                part.append(parsed)
+    for j, (name, kind) in enumerate(schema.items()):
+        if kind == "key":
+            # each block's keys were checked on their own; a key that repeats
+            # one of an earlier block repeats its hash too, and only then are
+            # the keys compared, so no set of every key is held
+            hashes = np.fromiter(map(hash, parts[j]), np.int64, len(parts[j]))
+            if len(np.unique(hashes)) < len(hashes):
+                _parse_column(path, name, kind, parts[j], 2)
+        elif kind != "str":
+            parts[j] = np.concatenate(parts[j]) if parts[j] else _PARSE[kind][0]([])
+    return parts
 
 
 def _write_csv(path, schema, columns) -> None:
     """Write ``columns`` of values, one per column of ``schema``, under its
-    header: a line per row, its cells joined by commas."""
-    cells = [_FORMAT[kind](values) for kind, values in zip(schema.values(), columns)]
-    if len(cells) == 1:
-        # a row of one empty cell is written "", as csv writes it, not as an
-        # empty line, which reads back as a row of no cells
-        cells = [['""' if c == "" else c for c in cells[0]]]
-    rows = map(",".join, zip(*cells))
+    header: a line per row, its cells joined by commas, formatted and
+    written a block of rows at a time."""
+    formats = [_FORMAT[kind] for kind in schema.values()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(schema) + "\n")
-        # a write per block of rows: one join of a block costs less than a
-        # newline added to each row, and no file is ever held whole
-        while block := list(islice(rows, 1024)):
-            fh.write("\n".join(block) + "\n")
+        for start in range(0, len(columns[0]), _ROWS):
+            cells = [fmt(values[start:start + _ROWS]) for fmt, values in zip(formats, columns)]
+            if len(cells) == 1:
+                # a row of one empty cell is written "", as csv writes it, not
+                # as an empty line, which reads back as a row of no cells
+                cells = [['""' if c == "" else c for c in cells[0]]]
+            # one join of a block costs less than a newline added to each row
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_patients_csv(path, patients: PatientTable) -> None:
@@ -446,9 +478,9 @@ def write_scans_csv(path, features) -> None:
 def read_scans_csv(path) -> tuple:
     """The ``(scan_ids, matrix)`` pair of a scans file, one matrix row per
     scan in file order; a NaN or inf anywhere fails with its row and column."""
-    loaded = _load_csv(path)
-    names = [f"f{j}" for j in range(max(len(loaded[0] or ()) - 1, 1))]
-    ids, *columns = _read_csv(path, {"scan_id": "key", **dict.fromkeys(names, "float")}, loaded)
+    width = len(next(_blocks(path)) or ())  # the header's
+    names = [f"f{j}" for j in range(max(width - 1, 1))]
+    ids, *columns = _read_csv(path, {"scan_id": "key", **dict.fromkeys(names, "float")})
     return ids, np.column_stack(columns)
 
 
@@ -467,13 +499,16 @@ def read_labels_csv(path) -> LabelTable:
     """The labels of a labels file; its ``right_censored`` column is checked
     and dropped. A row that breaks the labels contract of
     :func:`~cfpt.labels.contract_break` fails naming its row and column."""
-    loaded = _load_csv(path)
-    *columns, right_censored = _read_csv(path, _LABELS, loaded)
+    *columns, right_censored = _read_csv(path, _LABELS)
     labels = LabelTable(*columns)
     broken = contract_break(labels, right_censored)
     if broken:
         row, column, rule = broken
-        cell = loaded[2][list(_LABELS).index(column)][row]  # its text as read
+        # the cell's text as read, from its block read again
+        j, blocks = list(_LABELS).index(column), islice(_blocks(path), 1, None)
+        first, cells = next((first, block[j]) for first, block in blocks
+                            if row + 2 < first + len(block[j]))
+        cell = cells[row + 2 - first]
         raise SchemaError(f"{path} row {row + 2}: column {column}: {rule}, got {cell!r}")
     return labels
 

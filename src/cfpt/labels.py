@@ -37,9 +37,10 @@ class ScanTable:
     numpy arrays of one length.
 
     A subclass declares its array columns' dtypes in the class attribute
-    ``dtypes``; each is converted on construction. A numeric column bound
-    for an int or bool dtype must keep its values (0 or 1 for bool): a
-    lossy cast raises ValueError naming the table and the column.
+    ``dtypes``; each is converted on construction. A numeric column, Python
+    ints beyond 64 bits included, bound for an int or bool dtype must keep
+    its values (0 or 1 for bool): a lossy cast raises ValueError naming the
+    table and the column.
     """
 
     dtypes = {}
@@ -47,12 +48,19 @@ class ScanTable:
     def __post_init__(self):
         name = type(self).__name__
         for column, dtype in self.dtypes.items():
-            values = np.asarray(getattr(self, column))
-            with np.errstate(invalid="ignore"):  # NaN or inf to int warns
-                cast = values.astype(dtype, copy=False)
-            numeric = values.dtype.kind in "biuf"
-            if numeric and cast.dtype.kind in "biu" and not np.array_equal(cast, values):
-                bad = values[cast != values][0].item()
+            values, kind = np.asarray(getattr(self, column)), np.dtype(dtype).kind
+            # an object array of Python ints holds one beyond 64 bits
+            integers = values.dtype == object and all(isinstance(v, int) for v in values.tolist())
+            if integers and kind in "iu":
+                # clipped first: the cast would raise OverflowError on such an int
+                info = np.iinfo(dtype)
+                cast = values.clip(info.min, info.max).astype(dtype)
+            else:
+                with np.errstate(invalid="ignore"):  # NaN or inf to int warns
+                    cast = values.astype(dtype, copy=False)
+            numeric = values.dtype.kind in "biuf" or integers
+            if numeric and kind in "biu" and not np.array_equal(cast, values):
+                bad = values[cast != values].tolist()[0]
                 raise ValueError(
                     f"{name} column {column}: {bad!r} does not convert to {cast.dtype} exactly"
                 )

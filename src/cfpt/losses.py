@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # cross entropy clamps predicted probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
 # so its log terms stay finite
@@ -166,6 +165,7 @@ def cel_grad_logit(logit, y):
     ignored here (it only matters at |logit| beyond ~16 where the gradient
     is vanishing anyway).
     """
+    from scipy.special import expit  # here, so a process that does not train loads no scipy
     lg = _as_float_array(logit, "logit")
     yy = _check_binary(y, "y")
     return _scalar_or_array(expit(lg) - yy)

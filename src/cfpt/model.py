@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .labels import LabelTable, ScanTable
 # crl, crl_grad and cel stay importable here for perfbench's tracer, which
@@ -220,6 +219,7 @@ def _forward_batch(params: dict, X: np.ndarray):
     ``hiddens[0]`` is the input, ``hiddens[l]`` the rectified output of
     trunk layer l; the last entry feeds both heads.
     """
+    from scipy.special import expit  # here, so a process that does not train loads no scipy
     hiddens = [X]
     h = X
     for i in range(_n_hidden(params)):
@@ -649,6 +649,7 @@ def run_crossval(
     # only other threads are OpenBLAS's, which it stops before a fork
     # (pthread_atfork).
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        import scipy.special  # noqa: F401 -- once here, not in each worker after the fork
         context = multiprocessing.get_context("fork")
         # under fork the initializer's arguments are inherited, not pickled
         with ProcessPoolExecutor(

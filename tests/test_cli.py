@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -735,6 +736,103 @@ def test_text_and_float_bits_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# files of several blocks of rows
+
+_ROWS = cli._ROWS
+_EVERY_KIND = {
+    "k": "key", "s": "str", "f": "float", "g": "float?", "p": "prob", "b": "bit", "i": "int",
+    "x": "index",
+}
+
+
+def _csv_module_bytes(path, schema, columns):
+    """The bytes ``csv.writer`` writes for ``columns`` under ``schema``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(schema)
+        w.writerows(zip(*[map(_CELL[kind], col) for kind, col in zip(schema.values(), columns)]))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["plain", "quoted"])
+@pytest.mark.parametrize("n", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1])
+def test_files_of_up_to_three_blocks_round_trip_byte_for_byte(tmp_path, n, text):
+    rng = np.random.default_rng([89, n])
+    words = _random_column(rng, "str", n) if text == "quoted" else [f"w{i % 7}" for i in range(n)]
+    columns = [
+        [f"{w}#{i}" for i, w in enumerate(words)], words, _random_floats(rng, n),
+        [math.nan if rng.random() < 0.3 else v for v in _random_floats(rng, n)],
+        *(_random_column(rng, kind, n) for kind in ("prob", "bit", "int", "index")),
+    ]
+    path, again = tmp_path / "blocks.csv", tmp_path / "again.csv"
+    cli._write_csv(path, _EVERY_KIND, columns)
+    assert path.read_bytes() == _csv_module_bytes(tmp_path / "csv.csv", _EVERY_KIND, columns)
+    back = cli._read_csv(path, _EVERY_KIND)
+    assert back[:2] == columns[:2]
+    for got, sent in zip(back[2:], columns[2:]):
+        assert got.tobytes() == np.asarray(sent, dtype=got.dtype).tobytes()
+    cli._write_csv(again, _EVERY_KIND, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("fault", ["cell", "repeat", "width"])
+@pytest.mark.parametrize("at", [_ROWS, _ROWS + 1, 2 * _ROWS + 1])  # data rows from 1
+def test_a_fault_in_any_block_names_its_row(tmp_path, at, fault, quoted):
+    rows = [[f"s{i}", repr(i / 4), "01"[i % 2]] for i in range(2 * _ROWS + 2)]
+    if quoted:
+        rows[0][0] = "s\n0"  # a record over two lines: rows, not lines, are counted
+    target = rows[at - 1]
+    if fault == "cell":
+        target[1], complaint = "x", "column v: not a finite number: 'x'"
+    elif fault == "repeat":  # of a key in the first block
+        target[0], complaint = "s1", "column k: duplicate 's1'"
+    else:
+        target.append("9")
+        complaint = "expected 3 fields, got 4"
+    path = tmp_path / "faulty.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([["k", "v", "b"], *rows])
+    with pytest.raises(SchemaError) as err:
+        cli._read_csv(path, {"k": "key", "v": "float", "b": "bit"})
+    assert str(err.value) == f"{path} row {at + 1}: {complaint}"
+
+
+@pytest.mark.parametrize("at", [_ROWS - 1, _ROWS, 2 * _ROWS - 1])  # data rows from 0
+def test_a_quoted_line_feed_across_a_block_boundary_round_trips(tmp_path, at):
+    ids = [f"s{i}" for i in range(2 * _ROWS + 1)]
+    ids[at] = "a\nb"  # its record starts on one line and ends on the next
+    values = np.arange(len(ids)) / 8
+    path, again = tmp_path / "ids.csv", tmp_path / "again.csv"
+    schema = {"k": "key", "v": "float"}
+    cli._write_csv(path, schema, [ids, values])
+    back_ids, back_values = cli._read_csv(path, schema)
+    assert back_ids == ids and back_values.tobytes() == values.tobytes()
+    cli._write_csv(again, schema, [back_ids, back_values])
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_scans_reader_peak_above_its_result_barely_grows_with_the_file(tmp_path):
+    # the peak above the result: a whole-file reader's grows with the file
+    rng = np.random.default_rng(97)
+    above = {}
+    for n in (4000, 40000):
+        ids = [f"p{i // 5:05d}-s{i % 5}" for i in range(n)]
+        path = tmp_path / f"scans{n}.csv"
+        write_scans_csv(path, (ids, np.repeat(rng.normal(size=(n // 5, 9)), 5, axis=0)))
+        read_scans_csv(path)  # lazy imports and caches come first
+        tracemalloc.start()
+        try:
+            result = read_scans_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[0]) == n
+        above[n] = peak - held
+    assert above[40000] < 1.5 * above[4000], above
+
+
+# ---------------------------------------------------------------------------
 # commands
 
 
@@ -1002,6 +1100,45 @@ def test_main_eval_names_an_integer_beyond_int64(tmp_path, capsys, fold):
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error:schema: {predictions} row 3: column fold: not an integer >= 0: {fold!r}"
     assert not (tmp_path / "r").exists()
+
+
+# each integer column of an input file, and a command that reads the file
+_INTEGER_COLUMNS = [
+    (name, column, kind)
+    for name, schema in (
+        ("patients.csv", cli._PATIENTS), ("labels.csv", cli._LABELS),
+        ("predictions.csv", cli._PREDICTIONS),
+    )
+    for column, kind in schema.items() if kind in ("int", "index", "bit")
+]
+_READING_COMMAND = {
+    "patients.csv": ["label", "{patients}", "--out", "{out}/labels.csv"],
+    "labels.csv": ["km", "{labels}", "--out", "{out}/km.csv"],
+    "predictions.csv": ["eval", "{predictions}", "{labels}", "--out", "{out}/eval"],
+}
+
+
+@pytest.mark.parametrize("token", ["99999999999999999999", "-9223372036854775809"])
+@pytest.mark.parametrize("name, column, kind", _INTEGER_COLUMNS)
+def test_main_names_an_integer_beyond_int64_in_every_integer_column(
+    tmp_path, capsys, name, column, kind, token
+):
+    files = {}
+    for file, lines in _CLEAN_CSV.items():
+        header, *rows = lines
+        if file == name:
+            cells = rows[1].split(",")
+            cells[header.split(",").index(column)] = token
+            rows[1] = ",".join(cells)
+        files[file.removesuffix(".csv")] = tmp_path / file
+        (tmp_path / file).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    argv = [a.format(out=tmp_path / "out", **files) for a in _READING_COMMAND[name]]
+    assert main(argv) == 1
+    complaint = cli._PARSE[kind][1].format(token)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error:schema: {tmp_path / name} row 3: column {column}: {complaint}"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_eval_prints_mcnemar_of_a_second_prediction_set(tmp_path, capsys):

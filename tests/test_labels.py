@@ -114,6 +114,27 @@ def test_a_lossy_cast_of_an_integer_column_raises_naming_table_and_column():
     assert labels.p.tolist() == [1] and labels.y.dtype == np.int64  # exact integers convert
 
 
+@pytest.mark.parametrize("fold", [2**70, -2**70])
+def test_a_fold_beyond_64_bits_raises_naming_table_and_column(fold):
+    # a list holding such an int becomes an object array, not a numeric one
+    with pytest.raises(ValueError) as err:
+        PredictionTable(["x"], [0.5], [1.0], [fold])
+    assert str(err.value) == (
+        f"PredictionTable column fold: {fold} does not convert to int64 exactly"
+    )
+
+
+def test_an_is_cancer_beyond_64_bits_raises_as_2_does():
+    with pytest.raises(ValueError) as err:
+        PatientTable(["a"], [2**70], [math.nan], ["x"], [0.0])
+    assert str(err.value) == (
+        "PatientTable column is_cancer: 1180591620717411303424 does not convert to bool exactly"
+    )
+    table = PatientTable(["a", "b"], np.array([0, 1], dtype=object), [math.nan] * 2, ["x", "y"],
+                         [0.0, 1.0])
+    assert table.is_cancer.tolist() == [False, True]  # Python ints that fit convert
+
+
 def test_validate_record_accepts_valid():
     labels = derive_scan_labels(patient_table(Record("a", (0.0, 1.0), True, diagnosis_time=0.5)))
     assert len(labels) == 2

@@ -150,15 +150,26 @@ def test_mcnemar_chi_square_p_value_matches_scipy():
         assert res.p_value == pytest.approx(chi2.sf(res.statistic, df=1), rel=1e-12, abs=0)
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+def _modules_after_importing_the_cli():
+    """The names in ``sys.modules`` of a fresh interpreter after ``import cfpt.cli``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, cfpt.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
+    code = "import sys, cfpt.cli; print(*sys.modules)"
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out == "False\n"
+    ).stdout.split()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    assert "scipy.stats" not in _modules_after_importing_the_cli()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.special is imported where training needs it, and once before
+    # crossval forks its workers
+    loaded = _modules_after_importing_the_cli()
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def test_mcnemar_branches_agree_near_switchover():
