@@ -215,12 +215,6 @@ def load_experiment_config(path=None, seed=None, mode=None) -> ExperimentConfig:
 _ROWS = 2048  # rows per block
 
 
-def _unique(cells):
-    if len(set(cells)) != len(cells):
-        raise ValueError
-    return cells
-
-
 def _floats(cells, optional=False):
     """The finite floats of ``cells`` as a float64 array; an empty cell
     reads as NaN when ``optional``."""
@@ -247,10 +241,8 @@ def _indices(cells):
     return out
 
 
-# kind -> (parse a column of cells or raise ValueError/OverflowError, complaint about a bad cell)
+# numeric kind -> (parse cells or raise ValueError/OverflowError, complaint about a bad cell)
 _PARSE = {
-    "str": (lambda cells: cells, None),
-    "key": (_unique, "duplicate {!r}"),
     "float": (_floats, "not a finite number: {!r}"),
     "float?": (lambda cells: _floats(cells, True), "neither empty nor a finite number: {!r}"),
     "prob": (_probabilities, "not a number in [0, 1]: {!r}"),
@@ -327,65 +319,73 @@ def _parse_column(path, name, kind, cells, row):
         return parse(cells)
     except (ValueError, OverflowError):
         pass
-    # a column's check fails on a prefix of it exactly when the prefix holds
-    # a bad cell, so the shortest failing prefix ends at the first one
-    good, bad = 0, len(cells)
-    while bad - good > 1:
-        mid = (good + bad) // 2
+    # each kind checks each cell on its own: the first to fail alone is the first bad one
+    for i, cell in enumerate(cells):
         try:
-            parse(cells[:mid])
-            good = mid
+            parse([cell])
         except (ValueError, OverflowError):
-            bad = mid
-    raise SchemaError(
-        f"{path} row {row + bad - 1}: column {name}: " + complaint.format(cells[bad - 1])
-    )
+            raise SchemaError(f"{path} row {row + i}: column {name}: {complaint.format(cell)}")
 
 
 def _blocks(path):
     """A CSV file's header (None in an empty file), then its data rows in
     blocks of up to ``_ROWS``: each the number of its first row and its
-    columns of cells. A row not as wide as the header raises SchemaError.
+    columns of cells. A row not as wide as the header, a record the csv
+    module refuses or a byte not UTF-8 raises SchemaError naming its row.
     The caller is done with a block when it asks for the next one."""
     with open(path, encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        yield header
-        width, row, records = len(header or ()), 2, None
-        while block := list(islice(records or fh, _ROWS)):
-            n = len(block)
-            if records is not None:
-                misfit = next((i for i, r in enumerate(block) if len(r) != width), None)
-                if misfit is not None:
-                    raise SchemaError(f"{path} row {row + misfit}: expected {width} fields, "
-                                      f"got {len(block[misfit])}")
-                columns = [list(map(itemgetter(j), block)) for j in range(width)]
-                del block  # its rows: the columns hold their cells
-            elif ('"' in (text := "".join(block)) or "\r" in text or "\n" in block
-                  or set(map(str.count, block, repeat(","))) != {width - 1}):
-                # quoted cells, CR line ends, empty lines or rows of the wrong
-                # width: the csv module reads the rest, from this block on,
-                # where a quoted cell may span lines
-                records, text = csv.reader(chain(block, fh)), None
-                continue
-            else:
-                # a row per line, a cell per comma and every row as wide as
-                # the header: one split of the block and a slice per column
-                del block  # before the split, which holds every cell of the block
-                cells = text.replace("\n", ",").split(",")
-                if text[-1] == "\n":
-                    cells.pop()  # the last line's terminator
-                del text
-                columns = [cells[j::width] for j in range(width)]
-                del cells
-            yield row, columns
-            columns.clear()  # the block's cells go before the next is read
-            row += n
+        row, block = 1, []  # the row being read is row + len(block)
+        try:
+            header = next(csv.reader(fh), None)
+            yield header
+            width, row, records = len(header or ()), 2, None
+            while True:
+                block = []
+                block += islice(records or fh, _ROWS)  # a failed read keeps the rows before it
+                if not block:
+                    return
+                n = len(block)
+                if records is not None:
+                    misfit = next((i for i, r in enumerate(block) if len(r) != width), None)
+                    if misfit is not None:
+                        raise SchemaError(f"{path} row {row + misfit}: expected {width} fields, "
+                                          f"got {len(block[misfit])}")
+                    columns = [list(map(itemgetter(j), block)) for j in range(width)]
+                    del block  # its rows: the columns hold their cells
+                elif ('"' in (text := "".join(block)) or "\r" in text or "\n" in block
+                      or set(map(str.count, block, repeat(","))) != {width - 1}):
+                    # quoted cells, CR line ends, empty lines or rows of the wrong
+                    # width: the csv module reads the rest, from this block on,
+                    # where a quoted cell may span lines
+                    records, text = csv.reader(chain(block, fh)), None
+                    continue
+                else:
+                    # a row per line, a cell per comma and every row as wide as
+                    # the header: one split of the block and a slice per column
+                    del block  # before the split, which holds every cell of the block
+                    cells = text.replace("\n", ",").split(",")
+                    if text[-1] == "\n":
+                        cells.pop()  # the last line's terminator
+                    del text
+                    columns = [cells[j::width] for j in range(width)]
+                    del cells
+                yield row, columns
+                columns.clear()  # the block's cells go before the next is read
+                row += n
+        except csv.Error as exc:
+            raise SchemaError(f"{path} row {row + len(block)}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # a chunk fails to decode once every line before it is read: a row
+            # per line, the bad byte's adds the line ends before it in the chunk
+            row += len(block) + exc.object[:exc.start].count(b"\n")
+            raise SchemaError(f"{path} row {row}: not UTF-8: {exc.reason}, "
+                              f"got {exc.object[exc.start:exc.end]!r}") from None
 
 
 def _read_csv(path, schema) -> list:
     """The columns of a CSV file whose header is ``schema``'s names, each
     parsed by its kind a block of rows at a time; a bad row or cell fails
-    naming its row and column."""
+    naming its row and column, and then a key repeated in the file its row."""
     header, blocks = list(schema), _blocks(path)
     got = next(blocks)
     if got is None:
@@ -396,19 +396,21 @@ def _read_csv(path, schema) -> list:
     parts = [[] for _ in kinds]  # a text column's cells; a number column's arrays, one per block
     for row, columns in blocks:
         for name, kind, cells, part in zip(header, kinds, columns, parts):
-            parsed = _parse_column(path, name, kind, cells, row)
             if kind in ("str", "key"):
-                part.extend(parsed)
+                part.extend(cells)
             else:
-                part.append(parsed)
+                part.append(_parse_column(path, name, kind, cells, row))
     for j, (name, kind) in enumerate(schema.items()):
         if kind == "key":
-            # each block's keys were checked on their own; a key that repeats
-            # one of an earlier block repeats its hash too, and only then are
-            # the keys compared, so no set of every key is held
-            hashes = np.fromiter(map(hash, parts[j]), np.int64, len(parts[j]))
+            # only a repeated hash builds a set of the keys: a good file holds none
+            keys = parts[j]
+            hashes = np.fromiter(map(hash, keys), np.int64, len(keys))
             if len(np.unique(hashes)) < len(hashes):
-                _parse_column(path, name, kind, parts[j], 2)
+                seen = set()
+                for i, key in enumerate(keys):
+                    if key in seen:
+                        raise SchemaError(f"{path} row {i + 2}: column {name}: duplicate {key!r}")
+                    seen.add(key)
         elif kind != "str":
             parts[j] = np.concatenate(parts[j]) if parts[j] else _PARSE[kind][0]([])
     return parts
@@ -499,16 +501,13 @@ def read_labels_csv(path) -> LabelTable:
     """The labels of a labels file; its ``right_censored`` column is checked
     and dropped. A row that breaks the labels contract of
     :func:`~cfpt.labels.contract_break` fails naming its row and column."""
-    *columns, right_censored = _read_csv(path, _LABELS)
-    labels = LabelTable(*columns)
-    broken = contract_break(labels, right_censored)
+    columns = _read_csv(path, _LABELS)
+    labels = LabelTable(*columns[:-1])
+    broken = contract_break(labels, columns[-1])
     if broken:
         row, column, rule = broken
-        # the cell's text as read, from its block read again
-        j, blocks = list(_LABELS).index(column), islice(_blocks(path), 1, None)
-        first, cells = next((first, block[j]) for first, block in blocks
-                            if row + 2 < first + len(block[j]))
-        cell = cells[row + 2 - first]
+        # the value as cfpt writes it: a bit as read, t_d by its repr
+        (cell,) = _FORMAT[_LABELS[column]](columns[list(_LABELS).index(column)][row:row + 1])
         raise SchemaError(f"{path} row {row + 2}: column {column}: {rule}, got {cell!r}")
     return labels
 

@@ -832,6 +832,112 @@ def test_scans_reader_peak_above_its_result_barely_grows_with_the_file(tmp_path)
     assert above[40000] < 1.5 * above[4000], above
 
 
+def test_a_key_repeated_in_one_block_is_named_at_its_second_copy(tmp_path):
+    path = tmp_path / "keys.csv"
+    path.write_text("k,v\na,1\nb,2\nc,3\nb,4\na,5\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        cli._read_csv(path, {"k": "key", "v": "float"})
+    assert str(err.value) == f"{path} row 5: column k: duplicate 'b'"
+
+
+def test_a_bad_cell_of_a_later_block_comes_before_a_repeated_key(tmp_path):
+    rows = [[f"s{i}", repr(i / 4)] for i in range(2 * _ROWS)]
+    rows[5][0] = "s1"  # in the first block
+    rows[_ROWS + 5][1] = "x"  # in the second
+    path = tmp_path / "faults.csv"
+    path.write_text("\n".join(map(",".join, [["k", "v"], *rows])) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        cli._read_csv(path, {"k": "key", "v": "float"})
+    assert str(err.value) == f"{path} row {_ROWS + 7}: column v: not a finite number: 'x'"
+
+
+def test_distinct_keys_whose_hashes_repeat_are_read(tmp_path, monkeypatch):
+    path = tmp_path / "keys.csv"
+    path.write_text("k,v\na,1\nb,2\nc,3\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "hash", lambda key: 7, raising=False)
+    keys, _ = cli._read_csv(path, {"k": "key", "v": "float"})
+    assert keys == ["a", "b", "c"]
+
+
+def test_a_field_over_the_csv_limit_in_a_later_block_names_its_record(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    rows = [f"s{i},0.5,1.0,0" for i in range(_ROWS + 10)]
+    rows[_ROWS + 1] = '"s\n1",0.5,1.0,0'  # one record over two lines
+    rows[_ROWS + 4] = '"' + "x" * (limit + 1) + '",0.5,1.0,0'
+    path = tmp_path / "predictions.csv"
+    path.write_text("\n".join([_CLEAN_CSV["predictions.csv"][0], *rows]) + "\n",
+                    encoding="utf-8")
+    assert main(["eval", str(path), str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error:schema: {path} row {_ROWS + 6}: field larger than field limit ({limit})"
+    ]
+
+
+def test_a_header_over_the_csv_limit_is_one_schema_line(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    path = tmp_path / "labels.csv"
+    path.write_text('"' + "x" * (limit + 1) + '",patient_id\n', encoding="utf-8")
+    assert main(["km", str(path), "--out", str(tmp_path / "km.csv")]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error:schema: {path} row 1: field larger than field limit ({limit})"
+    ]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("at", [1, _ROWS + 100])  # data rows from 1
+def test_an_undecodable_byte_names_its_file_and_row(tmp_path, capsys, at, quoted):
+    header, *rows = _CLEAN_CSV["labels.csv"]
+    lines = [header.encode()] + [f"s{i},pa,1.0,1,1,0".encode() for i in range(_ROWS + 200)]
+    if quoted:  # the csv module reads the file from its first block on
+        lines[2] = b'"s1",pa,1.0,1,1,0'
+    lines[at] = b"s\xff,pa,1.0,1,1,0"
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["km", str(path), "--out", str(tmp_path / "km.csv")]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error:schema: {path} row {at + 1}: not UTF-8: invalid start byte, got b'\\xff'"
+    ]
+
+
+def _count_opens(monkeypatch):
+    """The paths the cli module opens from now on, one entry per open."""
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    return opened
+
+
+def test_a_labels_contract_break_is_reported_from_one_read(tmp_path, monkeypatch):
+    header, *rows = _CLEAN_CSV["labels.csv"]
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join([header, *rows, "s2,pc,0.50,0,0,1"]) + "\n", encoding="utf-8")
+    opened = _count_opens(monkeypatch)
+    with pytest.raises(SchemaError) as err:
+        read_labels_csv(path)
+    assert str(err.value) == f"{path} row 4: column t_d: p = 0 requires t_d >= 1, got '0.5'"
+    assert opened == [path]
+
+
+@pytest.mark.parametrize("name, column", [
+    ("patients.csv", "scan_time"), ("labels.csv", "t_d"), ("predictions.csv", "t_pred"),
+])
+def test_a_bad_cell_is_reported_from_one_read(tmp_path, monkeypatch, name, column):
+    header, *rows = _CLEAN_CSV[name]
+    cells = rows[1].split(",")
+    cells[header.split(",").index(column)] = "x"
+    path = tmp_path / name
+    path.write_text("\n".join([header, rows[0], ",".join(cells)]) + "\n", encoding="utf-8")
+    opened = _count_opens(monkeypatch)
+    with pytest.raises(SchemaError) as err:
+        _READERS[name](path)
+    assert str(err.value) == f"{path} row 3: column {column}: not a finite number: 'x'"
+    assert opened == [path]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
