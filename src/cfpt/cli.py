@@ -331,9 +331,10 @@ def _blocks(path):
     """A CSV file's header (None in an empty file), then its data rows in
     blocks of up to ``_ROWS``: each the number of its first row and its
     columns of cells. A row not as wide as the header, a record the csv
-    module refuses or a byte not UTF-8 raises SchemaError naming its row.
-    The caller is done with a block when it asks for the next one."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    module refuses or a byte not UTF-8 raises SchemaError naming its row; a
+    UTF-8 byte order mark before the header is skipped. The caller is done
+    with a block when it asks for the next one."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         row, block = 1, []  # the row being read is row + len(block)
         try:
             header = next(csv.reader(fh), None)
@@ -353,10 +354,12 @@ def _blocks(path):
                     columns = [list(map(itemgetter(j), block)) for j in range(width)]
                     del block  # its rows: the columns hold their cells
                 elif ('"' in (text := "".join(block)) or "\r" in text or "\n" in block
-                      or set(map(str.count, block, repeat(","))) != {width - 1}):
-                    # quoted cells, CR line ends, empty lines or rows of the wrong
-                    # width: the csv module reads the rest, from this block on,
-                    # where a quoted cell may span lines
+                      or set(map(str.count, block, repeat(","))) != {width - 1}
+                      or max(map(len, block)) > csv.field_size_limit()):
+                    # quoted cells, CR line ends, empty lines, rows of the wrong
+                    # width or a line that may hold a cell over the csv module's
+                    # field limit: the csv module reads the rest, from this block
+                    # on, where a quoted cell may span lines
                     records, text = csv.reader(chain(block, fh)), None
                     continue
                 else:

@@ -269,15 +269,21 @@ def _flat_views(buffer: np.ndarray, params: dict) -> dict:
     return views
 
 
-def _backward_into(grads: dict, params: dict, X, t_d, p, y, loss_cfg: LossConfig):
-    """Write the gradients of the mean joint loss over the batch ``X`` into
-    ``grads``, arrays of ``params``' keys and shapes, and return the batch's
-    ``(y_hat, t_pred)``.
+def backward(grads: dict, params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
+    """Exact gradients of the mean joint loss over the batch ``X``, written
+    into ``grads``, arrays of ``params``' keys and shapes; returns the
+    batch's ``(y_hat, t_pred)``.
 
-    Unchecked: ``X`` is a non-empty float64 matrix, ``t_d`` finite and
-    ``p``/``y`` binary. Non-finite predictions raise ValueError before any
-    gradient is written.
+    The classification path uses the collapsed sigmoid/cross-entropy logit
+    gradient; the regression path uses the closed-form censored-regression
+    derivative. ``X`` must be a non-empty float64 matrix; the labels are
+    not checked here: callers pass finite ``t_d`` and binary ``p``/``y``,
+    as :meth:`ScanDataset.validate` ensures for :func:`train`. Non-finite
+    predictions raise ValueError before any gradient is written, so a
+    diverging run stops at the step where it diverged.
     """
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("backward expects a non-empty 2-d feature batch")
     n = X.shape[0]
     y_hat, t_pred, _, hiddens = _forward_batch(params, X)
     if not (math.isfinite(t_pred.sum()) and math.isfinite(y_hat.sum())):
@@ -300,28 +306,6 @@ def _backward_into(grads: dict, params: dict, X, t_d, p, y, loss_cfg: LossConfig
     return y_hat, t_pred
 
 
-def backward(params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
-    """Exact gradients of the mean joint loss over a batch.
-
-    Returns ``(grads, batch_loss)`` where ``grads`` has the same keys and
-    shapes as ``params``. The classification path uses the collapsed
-    sigmoid/cross-entropy logit gradient; the regression path uses the
-    closed-form censored-regression derivative.
-
-    The labels are not checked here: callers pass finite ``t_d`` and
-    binary ``p``/``y``, as :meth:`ScanDataset.validate` ensures for
-    :func:`train`. Non-finite predictions raise ValueError, so a diverging
-    run stops at the step where it diverged. :func:`train` runs the same
-    gradient kernel, writing into its Adam state's buffer.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("backward expects a non-empty 2-d feature batch")
-    grads = _flat_views(np.empty(sum(v.size for v in params.values())), params)
-    y_hat, t_pred = _backward_into(grads, params, X, t_d, p, y, loss_cfg)
-    return grads, _batch_loss(y_hat, t_pred, t_d, p, y, loss_cfg)
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -334,8 +318,8 @@ class AdamState:
     ``theta``, ``m``, ``v`` and ``grad`` lay the parameters end to end in
     the key order of ``params``, whose values are views into ``theta``: an
     update of ``theta`` is an update of every parameter array. ``grads``
-    holds the same views into ``grad``, which the training step's backward
-    pass writes.
+    holds the same views into ``grad``, which :func:`backward` writes and
+    :func:`adam_step` reads.
     """
 
     params: dict
@@ -359,9 +343,13 @@ class AdamState:
         )
 
 
-def _adam_update(state: AdamState, lr: float, weight_decay: float) -> None:
-    """Adam's update of ``state.theta`` from the gradient in ``state.grad``,
-    in place; weight decay is added into ``state.grad``."""
+def adam_step(state: AdamState, lr: float, weight_decay: float) -> None:
+    """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected)
+    of ``state.theta`` from the gradient in ``state.grad``, in place.
+
+    Weight decay enters as a plain L2 gradient term (g += wd * param),
+    added into ``state.grad``, before the moment updates.
+    """
     state.t += 1
     t = state.t
     g = state.grad
@@ -377,26 +365,6 @@ def _adam_update(state: AdamState, lr: float, weight_decay: float) -> None:
     state.theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def adam_step(state: AdamState, grads: dict, lr: float, weight_decay: float) -> AdamState:
-    """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected).
-
-    Weight decay enters as a plain L2 gradient term (g += wd * param)
-    before the moment updates. ``grads`` must have the keys and shapes of
-    ``state.params``; it is copied into the state's flat gradient buffer
-    and the update runs on the flat buffers, in place; the state is
-    returned. :func:`train` runs the same update kernel on the gradients
-    its backward pass wrote into that buffer.
-    """
-    if grads.keys() != state.params.keys():
-        raise ValueError("gradient keys do not match parameter keys")
-    for k, theta in state.params.items():
-        if grads[k].shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {k!r}")
-    np.concatenate([grads[k] for k in state.params], axis=None, out=state.grad)
-    _adam_update(state, lr, weight_decay)
-    return state
-
-
 def effective_lr(epoch: int, tcfg: TrainConfig) -> float:
     """Step-decayed learning rate at a 1-based epoch."""
     n_decays = sum(1 for d in tcfg.lr_decay_epochs if d <= epoch)
@@ -410,7 +378,7 @@ def effective_lr(epoch: int, tcfg: TrainConfig) -> float:
 def _train_loss(loss: np.ndarray, batch_size: int) -> float:
     """An epoch's train loss from its per-scan ``loss``, in step order: the
     mean of the per-batch mean losses weighted by batch size, summed batch
-    by batch, the sum :func:`backward`'s loss per step would give."""
+    by batch, the sum of each step's :func:`_batch_loss` would give."""
     n = len(loss)
     full = n - n % batch_size
     total = 0.0
@@ -472,10 +440,10 @@ def train(
         )
         for start in range(0, n, b):
             batch = slice(start, start + b)
-            y_hat[batch], t_pred[batch] = _backward_into(
+            y_hat[batch], t_pred[batch] = backward(
                 state.grads, params, X[batch], t_d[batch], p[batch], y[batch], tcfg.loss
             )
-            _adam_update(state, lr, tcfg.weight_decay)
+            adam_step(state, lr, tcfg.weight_decay)
         loss = fused_joint_loss(y_hat, t_pred, t_d, p, y, tcfg.loss)
         history.train_loss.append(_train_loss(loss, b))
 

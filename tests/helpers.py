@@ -178,6 +178,23 @@ def random_network_instance(rng, n=5, input_dim=4, hidden=(6, 5)):
             return params, X, t_d, p, y
 
 
+def network_gradients(params, X, t_d, p, y, cfg):
+    """The gradients :func:`cfpt.model.backward` writes, into new arrays of
+    ``params``' keys and shapes, and the batch's mean joint loss."""
+    from cfpt.model import _batch_loss, backward
+
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    y_hat, t_pred = backward(grads, params, X, t_d, p, y, cfg)
+    return grads, _batch_loss(y_hat, t_pred, t_d, p, y, cfg)
+
+
+def network_loss(params, X, t_d, p, y, cfg):
+    """The batch's mean joint loss, from a forward pass alone."""
+    from cfpt.model import _batch_loss, _forward_batch
+
+    return _batch_loss(*_forward_batch(params, X)[:2], t_d, p, y, cfg)
+
+
 def check_label_invariants(rec, labels):
     """All labels-module invariants for one record's label table (plain asserts)."""
     assert len(labels) == len(rec.scan_times)

@@ -899,6 +899,37 @@ def test_an_undecodable_byte_names_its_file_and_row(tmp_path, capsys, at, quoted
     ]
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("name", ["patients.csv", "labels.csv", "predictions.csv"])
+def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path, name, quoted):
+    header, *rows = _CLEAN_CSV[name]
+    if quoted:  # the csv module reads the file
+        rows[0] = '"' + rows[0].replace(",", '",', 1)
+    text = "\n".join([header, *rows]) + "\n"
+    plain, marked = tmp_path / name, tmp_path / f"marked_{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    read = _READERS[name]
+    assert table_columns(read(marked)) == table_columns(read(plain))
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_a_cell_over_the_csv_limit_fails_whatever_else_its_block_holds(tmp_path, quoted):
+    limit = csv.field_size_limit()
+    header = _CLEAN_CSV["predictions.csv"][0]
+    path = tmp_path / "predictions.csv"
+    for n, fails in ((limit, False), (limit + 1, True)):
+        rows = ["x" * n + ",0.5,1.0,0", '"s1",0.5,1.0,0' if quoted else "s1,0.5,1.0,0"]
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        if fails:
+            with pytest.raises(SchemaError) as err:
+                read_predictions_csv(path)
+            assert str(err.value) == f"{path} row 2: field larger than field limit ({limit})"
+        else:
+            assert read_predictions_csv(path).scan_ids == ["x" * n, "s1"]
+
+
 def _count_opens(monkeypatch):
     """The paths the cli module opens from now on, one entry per open."""
     opened = []

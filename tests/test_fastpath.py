@@ -108,7 +108,9 @@ def test_flat_adam_equals_per_key_loop(weight_decay):
     params = {k: v.copy() for k, v in init.items()}
     state = AdamState.for_params(params)
     for grads, lr in zip(grads_seq, lrs):
-        adam_step(state, grads, lr, weight_decay)
+        for k, g in grads.items():
+            state.grads[k][...] = g
+        adam_step(state, lr, weight_decay)
     assert state.t == 200
     for k in shapes:
         assert params[k].shape == shapes[k]
@@ -157,9 +159,9 @@ def test_blocked_forward_of_no_rows_is_two_empty_arrays():
 
 
 def _train_reference(train_set, val_set, mcfg, tcfg):
-    """The training loop the lean step replaced: the public backward and
-    adam_step per minibatch, the train loss summed from each batch's mean,
-    and the validation forward pass in one piece."""
+    """A plainer training loop: backward and adam_step per minibatch, the
+    train loss summed from each batch's mean, and the validation forward
+    pass in one piece."""
     params = init_params(mcfg, train_set.input_dim, t_d_mean=float(np.mean(train_set.t_d)))
     state = AdamState.for_params(params)
     rng = np.random.default_rng(tcfg.seed)
@@ -175,9 +177,10 @@ def _train_reference(train_set, val_set, mcfg, tcfg):
         loss_sum = 0.0
         for start in range(0, n, tcfg.batch_size):
             batch = slice(start, start + tcfg.batch_size)
-            grads, loss = backward(params, X[batch], t_d[batch], p[batch], y[batch], tcfg.loss)
-            adam_step(state, grads, lr, tcfg.weight_decay)
-            loss_sum += loss * len(y[batch])
+            labels = t_d[batch], p[batch], y[batch]
+            y_hat, t_pred = backward(state.grads, params, X[batch], *labels, tcfg.loss)
+            adam_step(state, lr, tcfg.weight_decay)
+            loss_sum += _batch_loss(y_hat, t_pred, *labels, tcfg.loss) * len(y_hat)
         history.train_loss.append(loss_sum / n)
         y_hat, t_pred, _, _ = _forward_batch(params, val_set.features)
         val_loss = _batch_loss(y_hat, t_pred, val_set.t_d, val_set.p, val_set.y, tcfg.loss)

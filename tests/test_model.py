@@ -27,7 +27,7 @@ from cfpt.model import (
     run_crossval,
     train,
 )
-from helpers import random_network_instance
+from helpers import network_gradients, network_loss, random_network_instance
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +123,7 @@ def test_backward_matches_finite_differences():
     cfg = LossConfig(lam=0.5, epsilon=1.0)
     for _ in range(8):
         params, X, t_d, p, y = random_network_instance(rng)
-        grads, loss0 = backward(params, X, t_d, p, y, cfg)
-        assert set(grads) == set(params)
+        grads, _ = network_gradients(params, X, t_d, p, y, cfg)
         for k in params:
             g = grads[k]
             flat = params[k].reshape(-1)
@@ -133,9 +132,9 @@ def test_backward_matches_finite_differences():
                 orig = flat[j]
                 h = 1e-5
                 flat[j] = orig + h
-                _, lp = backward(params, X, t_d, p, y, cfg)
+                lp = network_loss(params, X, t_d, p, y, cfg)
                 flat[j] = orig - h
-                _, lm = backward(params, X, t_d, p, y, cfg)
+                lm = network_loss(params, X, t_d, p, y, cfg)
                 flat[j] = orig
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(gflat[j]), 1e-8)
@@ -145,7 +144,7 @@ def test_backward_matches_finite_differences():
 def test_backward_lambda_zero_regression_head_frozen():
     rng = np.random.default_rng(32)
     params, X, t_d, p, y = random_network_instance(rng)
-    grads, _ = backward(params, X, t_d, p, y, LossConfig(lam=0.0))
+    grads, _ = network_gradients(params, X, t_d, p, y, LossConfig(lam=0.0))
     assert np.all(grads["w_reg"] == 0.0)
     assert np.all(grads["b_reg"] == 0.0)
     assert np.any(grads["w_cls"] != 0.0)
@@ -155,8 +154,8 @@ def test_backward_duplicated_rows_mean_reduction():
     rng = np.random.default_rng(33)
     params, X, t_d, p, y = random_network_instance(rng)
     cfg = LossConfig()
-    g1, l1 = backward(params, X, t_d, p, y, cfg)
-    g2, l2 = backward(
+    g1, l1 = network_gradients(params, X, t_d, p, y, cfg)
+    g2, l2 = network_gradients(
         params,
         np.vstack([X, X]),
         np.concatenate([t_d, t_d]),
@@ -172,7 +171,9 @@ def test_backward_duplicated_rows_mean_reduction():
 def test_backward_rejects_empty_batch():
     params = _zero_params(3, (4,))
     with pytest.raises(ValueError):
-        backward(params, np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0), LossConfig())
+        network_gradients(
+            params, np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0), LossConfig()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,8 @@ def test_adam_first_step_hand_value():
     state = AdamState.for_params(params)
     g = 2.0
     lr = 0.01
-    adam_step(state, {"w": np.array([g])}, lr, 0.0)
+    state.grad[:] = g
+    adam_step(state, lr, 0.0)
     # bias correction makes m_hat = g, v_hat = g^2 on the first step
     expected = 1.0 - lr * g / (abs(g) + ADAM_EPS)
     assert params["w"][0] == pytest.approx(expected, abs=1e-15)
@@ -196,7 +198,8 @@ def test_adam_first_step_with_weight_decay():
     params = {"w": np.array([theta0])}
     state = AdamState.for_params(params)
     g_eff = 0.5 + 0.01 * theta0
-    adam_step(state, {"w": np.array([0.5])}, 0.1, 0.01)
+    state.grad[:] = 0.5
+    adam_step(state, 0.1, 0.01)
     expected = theta0 - 0.1 * g_eff / (abs(g_eff) + ADAM_EPS)
     assert params["w"][0] == pytest.approx(expected, abs=1e-15)
 
@@ -205,7 +208,8 @@ def test_adam_zero_gradient_noop():
     params = {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
     state = AdamState.for_params(params)
     for _ in range(3):
-        adam_step(state, {"w": np.zeros(2), "b": np.zeros(1)}, 0.1, 0.0)
+        state.grad[:] = 0.0
+        adam_step(state, 0.1, 0.0)
     assert np.array_equal(params["w"], [1.0, -2.0])
     assert np.array_equal(params["b"], [0.5])
 
@@ -216,19 +220,11 @@ def test_adam_deterministic_sequence():
         state = AdamState.for_params(params)
         rng = np.random.default_rng(34)
         for _ in range(20):
-            adam_step(state, {"w": rng.normal(size=2)}, 1e-3, 0.01)
+            state.grads["w"][:] = rng.normal(size=2)
+            adam_step(state, 1e-3, 0.01)
         return params["w"].copy()
 
     assert np.array_equal(run(), run())
-
-
-def test_adam_rejects_mismatches():
-    params = {"w": np.array([1.0])}
-    state = AdamState.for_params(params)
-    with pytest.raises(ValueError):
-        adam_step(state, {"v": np.array([1.0])}, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        adam_step(state, {"w": np.array([1.0, 2.0])}, 0.1, 0.0)
 
 
 @pytest.mark.parametrize("epochs", [(-1, 0), (0,), (40, 0, 80), (-5,)])
@@ -576,8 +572,11 @@ def test_backward_fails_loudly_on_non_finite_predictions():
     rng = np.random.default_rng(38)
     params, X, t_d, p, y = random_network_instance(rng)
     params["b_reg"] = np.array([np.inf])
+    grads = {k: np.full_like(v, 7.0) for k, v in params.items()}
     with pytest.raises(ValueError, match="diverged"):
-        backward(params, X, t_d, p, y, LossConfig())
+        backward(grads, params, X, t_d, p, y, LossConfig())
+    # it raised before writing a gradient
+    assert all((g == 7.0).all() for g in grads.values())
 
 
 def test_run_crossval_folds_keep_every_config_field(monkeypatch):

@@ -10,6 +10,7 @@ benchmark.
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,3 +54,33 @@ def test_cohort_io_loader_call_keeps_label_order(tmp_path):
     scans = (data / "scans.csv").read_text(encoding="utf-8").splitlines()[1:]
     features = {sid: list(map(float, cells)) for sid, *cells in (s.split(",") for s in scans)}
     assert ds.features.tolist() == [features[sid] for sid in ds.scan_ids]
+
+
+def test_train_steps_through_the_traced_backward_and_adam_step(monkeypatch):
+    # the tracer wraps cfpt.model.backward and cfpt.model.adam_step; a step
+    # that reached the kernels by another name would leave both at 0 calls
+    import cfpt.model
+    from cfpt.model import ModelConfig, ScanDataset, TrainConfig, train
+
+    calls = dict.fromkeys(["backward", "adam_step"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cfpt.model, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cfpt.model, name, counted)
+
+    rng = np.random.default_rng(0)
+
+    def scans(prefix, n):
+        p = np.arange(n) % 2
+        return ScanDataset(
+            [f"{prefix}s{i}" for i in range(n)], [f"{prefix}p{i}" for i in range(n)],
+            rng.normal(size=(n, 3)) + p[:, None], rng.uniform(1.0, 5.0, n), p, p,
+        )
+
+    n_train, batch_size, epochs = 21, 8, 3  # every epoch ends on a partial batch
+    train(scans("t", n_train), scans("v", 6), ModelConfig(hidden_dims=(4,)),
+          TrainConfig(max_epochs=epochs, batch_size=batch_size))
+    steps = math.ceil(n_train / batch_size) * epochs
+    assert calls == {"backward": steps, "adam_step": steps}
