@@ -33,7 +33,9 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .labels import LabelTable, PatientTable, contract_break, derive_scan_labels, outcome_disagrees
+from .labels import (
+    LabelTable, PatientTable, contract_break, derive_scan_labels, first_rows, outcome_disagrees,
+)
 from .losses import LossConfig
 from .metrics import THRESHOLDS, EvalReport, KMCurve, evaluate, km_estimate
 from .model import (
@@ -221,7 +223,7 @@ def _floats(cells, optional=False):
     out = np.array([c or "nan" for c in cells] if optional else cells, dtype=np.float64)
     bad = ~np.isfinite(out)
     if optional:
-        bad &= np.array(cells, dtype=str) != ""
+        bad &= np.fromiter(map(bool, cells), bool, len(cells))
     if bad.any():
         raise ValueError
     return out
@@ -353,13 +355,14 @@ def _blocks(path):
                                           f"got {len(block[misfit])}")
                     columns = [list(map(itemgetter(j), block)) for j in range(width)]
                     del block  # its rows: the columns hold their cells
-                elif ('"' in (text := "".join(block)) or "\r" in text or "\n" in block
+                elif ('"' in (text := "".join(block)) or "\r" in text
                       or set(map(str.count, block, repeat(","))) != {width - 1}
                       or max(map(len, block)) > csv.field_size_limit()):
-                    # quoted cells, CR line ends, empty lines, rows of the wrong
-                    # width or a line that may hold a cell over the csv module's
-                    # field limit: the csv module reads the rest, from this block
-                    # on, where a quoted cell may span lines
+                    # quoted cells, CR line ends, rows of the wrong width (an
+                    # empty line too: every schema has two columns or more) or
+                    # a line that may hold a cell over the csv module's field
+                    # limit: the csv module reads the rest, from this block on,
+                    # where a quoted cell may span lines
                     records, text = csv.reader(chain(block, fh)), None
                     continue
                 else:
@@ -405,15 +408,11 @@ def _read_csv(path, schema) -> list:
                 part.append(_parse_column(path, name, kind, cells, row))
     for j, (name, kind) in enumerate(schema.items()):
         if kind == "key":
-            # only a repeated hash builds a set of the keys: a good file holds none
             keys = parts[j]
-            hashes = np.fromiter(map(hash, keys), np.int64, len(keys))
-            if len(np.unique(hashes)) < len(hashes):
-                seen = set()
-                for i, key in enumerate(keys):
-                    if key in seen:
-                        raise SchemaError(f"{path} row {i + 2}: column {name}: duplicate {key!r}")
-                    seen.add(key)
+            repeats = np.flatnonzero(first_rows(keys) != np.arange(len(keys)))
+            if len(repeats):
+                i = repeats[0]
+                raise SchemaError(f"{path} row {i + 2}: column {name}: duplicate {keys[i]!r}")
         elif kind != "str":
             parts[j] = np.concatenate(parts[j]) if parts[j] else _PARSE[kind][0]([])
     return parts
@@ -428,10 +427,6 @@ def _write_csv(path, schema, columns) -> None:
         fh.write(",".join(schema) + "\n")
         for start in range(0, len(columns[0]), _ROWS):
             cells = [fmt(values[start:start + _ROWS]) for fmt, values in zip(formats, columns)]
-            if len(cells) == 1:
-                # a row of one empty cell is written "", as csv writes it, not
-                # as an empty line, which reads back as a row of no cells
-                cells = [['""' if c == "" else c for c in cells[0]]]
             # one join of a block costs less than a newline added to each row
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
@@ -450,10 +445,7 @@ def read_patients_csv(path) -> PatientTable:
     pids, cancer, diag, sids, times = _read_csv(path, _PATIENTS)
     if "" in pids:
         raise SchemaError(f"{path} row {pids.index('') + 2}: empty patient_id")
-    _, first, patient = np.unique(
-        np.asarray(pids, dtype=str), return_index=True, return_inverse=True
-    )
-    head = first[patient]  # each row's patient's first row
+    head = first_rows(pids)  # each row's patient's first row
     clash = outcome_disagrees(cancer, diag, head)
     if clash.any():
         i = int(clash.argmax())

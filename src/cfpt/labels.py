@@ -27,6 +27,7 @@ row per scan: from the simulator or the patients CSV, through
 """
 
 from dataclasses import dataclass, fields
+from operator import ne
 
 import numpy as np
 
@@ -125,13 +126,14 @@ class LabelTable(ScanTable):
     dtypes = {"t_d": np.float64, "p": np.int64, "y": np.int64}
 
 
-def _repeats(keys) -> np.ndarray:
-    """Whether each of ``keys`` equals an earlier one."""
-    out = np.zeros(len(keys), dtype=bool)
-    if len(set(keys)) < len(keys):
-        out[:] = True
-        out[np.unique(np.asarray(keys), return_index=True)[1]] = False
-    return out
+def first_rows(ids) -> np.ndarray:
+    """For each of ``ids``, a list of str, the row where that id first
+    appears; ids are equal only as whole Python strings."""
+    n = len(ids)
+    if len(set(ids)) == n:  # scan ids and keys are: a set of them costs less than the dict
+        return np.arange(n)
+    first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, ids), np.intp, n)
 
 
 def outcome_disagrees(cancer, diag, head) -> np.ndarray:
@@ -147,27 +149,30 @@ def _patient_starts(patients: PatientTable) -> np.ndarray:
     A table that breaks an invariant raises ValueError naming the patient
     of the first row that breaks one, with all of that patient's problems.
     """
-    pid = np.asarray(patients.patient_ids, dtype=str)
-    start = np.ones(len(pid), dtype=bool)
-    start[1:] = pid[1:] != pid[:-1]
-    patient = np.cumsum(start) - 1
-    head = np.flatnonzero(start)[patient]
+    ids, n = patients.patient_ids, len(patients)
+    start = np.ones(n, dtype=bool)
+    start[1:] = np.fromiter(map(ne, ids[1:], ids[:-1]), bool, n - 1)
+    runs = np.flatnonzero(start)
+    patient = np.cumsum(start) - 1  # each row's run
+    head = runs[patient]
+    # each row's patient: the first run of its id
+    owner = first_rows(list(map(ids.__getitem__, runs.tolist())))[patient]
     times, cancer, diag = patients.scan_times, patients.is_cancer, patients.diagnosis_time
     # each invariant as a flag per row that breaks it
     problems = {
-        "rows not contiguous": _repeats(pid[start].tolist())[patient],
+        "rows not contiguous": owner != patient,
         "rows disagree on is_cancer or diagnosis_time": outcome_disagrees(cancer, diag, head),
         "scan_times contains non-finite values": ~np.isfinite(times),
         "scan_times not strictly increasing": ~start & (times <= np.roll(times, 1)),
         "diagnosis_time present for non-cancer patient": ~cancer & ~np.isnan(diag),
         "diagnosis_time is infinite": np.isinf(diag),
-        "scan_id repeats an earlier row": _repeats(patients.scan_ids),
+        "scan_id repeats an earlier row": first_rows(patients.scan_ids) != np.arange(n),
     }
     bad = np.logical_or.reduce(list(problems.values()))
     if bad.any():
-        name = pid[bad.argmax()]
-        own = pid == name
-        raise ValueError(f"invalid record {str(name)!r}: " + "; ".join(
+        i = int(bad.argmax())
+        own = owner == owner[i]
+        raise ValueError(f"invalid record {ids[i]!r}: " + "; ".join(
             what for what, flags in problems.items() if flags[own].any()))
     return start
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import PatientTable, derive_scan_labels
+from .labels import PatientTable, derive_scan_labels, first_rows
 
 
 # generate_cohort draws each scan's dropout check in a Python loop, so a
@@ -166,12 +166,11 @@ def cohort_summary(patients: PatientTable) -> CohortSummary:
     if not len(patients):
         raise ValueError("cohort_summary of an empty cohort is undefined")
     labels = derive_scan_labels(patients)
-    _, first, sizes = np.unique(
-        np.asarray(patients.patient_ids, dtype=str), return_index=True, return_counts=True
-    )
-    n_patients = len(first)
-    n_cancer = int(patients.is_cancer[first].sum())
-    size, count = np.unique(sizes, return_counts=True)
+    first = first_rows(patients.patient_ids)
+    heads = np.flatnonzero(first == np.arange(len(first)))  # each patient's first row
+    n_patients = len(heads)
+    n_cancer = int(patients.is_cancer[heads].sum())
+    size, count = np.unique(np.bincount(first)[heads], return_counts=True)
     return CohortSummary(
         n_patients=n_patients,
         n_scans=len(patients),

@@ -5,8 +5,10 @@ enumeration, finite differences) and must stay independent of the library
 code it checks.
 """
 
+import ctypes
 import math
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
@@ -255,3 +257,23 @@ def random_scores_labels(rng, max_n=200):
     else:
         scores = rng.choice(np.linspace(0.0, 1.0, 7), size=n)
     return scores, labels
+
+
+# ---------------------------------------------------------------------------
+# the BLAS kernel, which decides the last bits of every matmul
+
+
+def blas_kernel():
+    """The core name and config string of the kernel numpy's bundled
+    OpenBLAS picked when it loaded, or "unknown" where numpy bundles none
+    that names it."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded, not a second one
+            core, config = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        core.restype = config.restype = ctypes.c_char_p
+        return f"{core().decode()} ({' '.join(config().decode().split())})"
+    return "unknown"

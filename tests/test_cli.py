@@ -486,7 +486,6 @@ def test_patients_csv_refuses_an_empty_patient_id(tmp_path):
 _SCHEMAS = [
     cli._PATIENTS, cli._LABELS, cli._PREDICTIONS, cli._TRUTH, cli._KM, cli._ROC,
     cli._SCATTER, cli._THRESHOLDS, cli._HISTORY, cli._FOLDS,
-    {"scan_id": "key"},  # scans.csv with no features
     {"scan_id": "key", "f0": "float", "f1": "float", "f2": "float"},
 ]
 _PIECES = ["a", "B7", "", " ", ",", '"', "\n", "é", "日本"]
@@ -812,6 +811,18 @@ def test_a_quoted_line_feed_across_a_block_boundary_round_trips(tmp_path, at):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _peak_above_result(call):
+    """What ``call()`` returns, and the most memory it held beyond that."""
+    call()  # lazy imports and caches come first
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
 def test_scans_reader_peak_above_its_result_barely_grows_with_the_file(tmp_path):
     # the peak above the result: a whole-file reader's grows with the file
     rng = np.random.default_rng(97)
@@ -820,16 +831,32 @@ def test_scans_reader_peak_above_its_result_barely_grows_with_the_file(tmp_path)
         ids = [f"p{i // 5:05d}-s{i % 5}" for i in range(n)]
         path = tmp_path / f"scans{n}.csv"
         write_scans_csv(path, (ids, np.repeat(rng.normal(size=(n // 5, 9)), 5, axis=0)))
-        read_scans_csv(path)  # lazy imports and caches come first
-        tracemalloc.start()
-        try:
-            result = read_scans_csv(path)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(result[0]) == n
-        above[n] = peak - held
+        (ids_back, _), above[n] = _peak_above_result(lambda: read_scans_csv(path))
+        assert len(ids_back) == n
     assert above[40000] < 1.5 * above[4000], above
+
+
+def test_one_long_patient_id_costs_its_length_not_rows_times_it(tmp_path):
+    # a numpy string copy of the ids gives every row the longest id's width
+    ids = ["x" * 5000, *(f"p{i // 5}" for i in range(999))]
+    patients = PatientTable(ids, [False] * 1000, [math.nan] * 1000,
+                            [f"s{i}" for i in range(1000)], list(range(1000)))
+    path = tmp_path / "patients.csv"
+    write_patients_csv(path, patients)
+    labels, above = _peak_above_result(lambda: derive_scan_labels(read_patients_csv(path)))
+    assert labels.patient_ids == ids
+    assert above < 8 * 2**20, above
+
+
+def test_one_long_optional_float_cell_costs_its_length_not_rows_times_it(tmp_path):
+    cells = ["1." + "0" * 4998, *([""] * (_ROWS - 1))]
+    path = tmp_path / "floats.csv"
+    path.write_text("k,v\n" + "".join(f"k{i},{c}\n" for i, c in enumerate(cells)),
+                    encoding="utf-8")
+    (_, values), above = _peak_above_result(
+        lambda: cli._read_csv(path, {"k": "key", "v": "float?"}))
+    assert values[0] == 1.0 and np.isnan(values[1:]).all()
+    assert above < 8 * 2**20, above
 
 
 def test_a_key_repeated_in_one_block_is_named_at_its_second_copy(tmp_path):
@@ -1001,6 +1028,18 @@ def test_cmd_label_reads_patients_rows_in_any_order(tmp_path):
     cmd_label(tmp_path / "shuffled.csv", tmp_path / "shuffled_labels.csv")
     assert (tmp_path / "shuffled_labels.csv").read_bytes() == (
         tmp_path / "sorted_labels.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cancer", [0, 1])
+def test_cmd_label_keeps_ids_that_differ_by_a_trailing_nul_apart(tmp_path, cancer):
+    # "a" and "a\0" are two patients, each with its last scan alone
+    (tmp_path / "patients.csv").write_text(
+        "patient_id,is_cancer,diagnosis_time,scan_id,scan_time\n"
+        f"a,0,,s1,0.0\na\0,{cancer},,s2,1.0\nb,0,,s3,0.0\n", encoding="utf-8")
+    cmd_label(tmp_path / "patients.csv", tmp_path / "labels.csv")
+    labels = read_labels_csv(tmp_path / "labels.csv")
+    assert labels.patient_ids == ["a", "a\0", "b"]
+    assert labels.t_d.tolist() == [1.0, 1.0 - cancer, 1.0]
 
 
 def test_cmd_label_empty_input(tmp_path):

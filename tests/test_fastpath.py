@@ -50,6 +50,7 @@ from cfpt.model import (
     init_params,
     train,
 )
+from helpers import blas_kernel
 
 
 def _random_batch(rng, n):
@@ -489,7 +490,8 @@ def test_crossval_outputs_match_recorded_hashes(tmp_path):
         f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted(tmp_path.rglob("*")) if f.is_file()
     }
-    assert got == GOLDEN_PIPELINE
+    assert got == GOLDEN_PIPELINE, (
+        f"hashes recorded on OpenBLAS's SkylakeX kernel; this run's is {blas_kernel()}")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")

@@ -197,11 +197,24 @@ def _table(rows):
          "invalid record 'z': scan_times contains non-finite values; "
          "scan_times not strictly increasing; diagnosis_time present for non-cancer patient; "
          "diagnosis_time is infinite$"),
+        # a trailing NUL makes another patient, and the error names it as it is
+        ([("a\0", 0, math.nan, "s0", 0.0), ("a", 0, math.nan, "s1", 1.0),
+          ("a\0", 0, math.nan, "s2", 2.0)],
+         r"invalid record 'a\\x00': rows not contiguous$"),
     ],
 )
 def test_derive_rejects_a_broken_table_naming_its_first_patient(rows, message):
     with pytest.raises(ValueError, match=message):
         derive_scan_labels(_table(rows))
+
+
+def test_ids_that_differ_by_a_trailing_nul_are_two_patients():
+    labels = derive_scan_labels(_table([
+        ("a", 0, math.nan, "s", 0.0), ("a\0", 1, math.nan, "s\0", 1.0),
+        ("b", 0, math.nan, "s3", 0.0),
+    ]))
+    assert labels.t_d.tolist() == [1.0, 0.0, 1.0]
+    assert labels.y.tolist() == [0, 1, 0]
 
 
 def test_derive_names_the_broken_patient_in_a_random_cohort():

@@ -262,6 +262,12 @@ def test_summary_counts():
         cohort_summary(patient_table())
 
 
+def test_summary_counts_ids_that_differ_by_a_trailing_nul_as_two_patients():
+    s = cohort_summary(patient_table(Record("a", (0.0,), False), Record("a\0", (1.0,), False)))
+    assert s.n_patients == 2
+    assert s.scans_per_patient == {1: 2}
+
+
 def test_summary_reorder_invariant():
     patients, _, _ = generate_cohort(_small_cfg(seed=8))
     s1 = cohort_summary(patients)
