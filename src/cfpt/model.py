@@ -7,9 +7,13 @@ minimizes the joint objective from :mod:`cfpt.losses` with Adam, a step
 learning-rate decay, and selection of the parameter snapshot at the epoch
 of minimum validation loss. Cross-validation is split at the patient
 level so no patient's scans appear in more than one of train / validation
-/ test within a fold. Each fold is one job, run in a forked worker process
-(up to one per available CPU) that inherits the dataset, subsets the
-fold's patients, trains and predicts the fold's test scans.
+/ test within a fold. The folds of one process train in lock-step: their
+networks are one stack, with the fold as the leading axis of every
+parameter, gradient and moment buffer, so one minibatch step updates them
+all, each to the bytes it would reach alone. Each forked worker process
+(up to one per available CPU) owns one such group of folds: it inherits
+the dataset, subsets its folds' patients, trains them as one stack and
+predicts their test scans.
 
 Everything is plain float64 numpy; all randomness flows from explicit
 seeds, so a (seed, config, data) triple fully determines every output.
@@ -216,17 +220,21 @@ def _n_hidden(params: dict) -> int:
 def _forward_batch(params: dict, X: np.ndarray):
     """Trunk + heads over a batch; returns (y_hat, t_pred, logit, hiddens).
 
-    ``hiddens[0]`` is the input, ``hiddens[l]`` the rectified output of
-    trunk layer l; the last entry feeds both heads.
+    ``X`` is one network's ``(n, d)`` batch, or a stack's ``(K, n, d)``
+    batches when every array of ``params`` leads with the same K. Each
+    product is then one BLAS call per network, on the operand shapes of
+    one network alone. ``hiddens[0]`` is the input, ``hiddens[l]`` the
+    rectified output of trunk layer l; the last entry feeds both heads.
     """
     from scipy.special import expit  # here, so a process that does not train loads no scipy
     hiddens = [X]
     h = X
     for i in range(_n_hidden(params)):
-        h = np.maximum(0.0, h @ params[f"W{i}"] + params[f"b{i}"])
+        h = np.maximum(0.0, h @ params[f"W{i}"] + params[f"b{i}"][..., None, :])
         hiddens.append(h)
-    logit = h @ params["w_cls"] + params["b_cls"][0]
-    t_pred = h @ params["w_reg"] + params["b_reg"][0]
+    # a matrix-vector product per network; the (..., 1) head biases broadcast
+    logit = (h @ params["w_cls"][..., None])[..., 0] + params["b_cls"]
+    t_pred = (h @ params["w_reg"][..., None])[..., 0] + params["b_reg"]
     return expit(logit), t_pred, logit, hiddens
 
 
@@ -259,14 +267,25 @@ def _batch_loss(y_hat, t_pred, t_d, p, y, cfg: LossConfig) -> float:
     return float(loss.sum() / loss.size)  # np.mean, less overhead
 
 
-def _flat_views(buffer: np.ndarray, params: dict) -> dict:
-    """Views of the flat ``buffer`` shaped as the arrays of ``params``, laid
-    end to end in its key order."""
+def _flat_views(buffer: np.ndarray, shapes: dict) -> dict:
+    """Views of the rows of the 2-d ``buffer``, each row shaped as
+    ``shapes`` laid end to end in its key order; a view leads with the
+    buffer's row axis."""
     views, offset = {}, 0
-    for k, value in params.items():
-        views[k] = buffer[offset : offset + value.size].reshape(value.shape)
-        offset += value.size
+    for k, shape in shapes.items():
+        size = math.prod(shape)
+        views[k] = buffer[:, offset : offset + size].reshape(len(buffer), *shape)
+        offset += size
     return views
+
+
+class FoldError(ValueError):
+    """A ValueError about one network of a stack: ``index`` is its place in
+    the stack."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 def backward(grads: dict, params: dict, X: np.ndarray, t_d, p, y, loss_cfg: LossConfig):
@@ -274,35 +293,46 @@ def backward(grads: dict, params: dict, X: np.ndarray, t_d, p, y, loss_cfg: Loss
     into ``grads``, arrays of ``params``' keys and shapes; returns the
     batch's ``(y_hat, t_pred)``.
 
-    The classification path uses the collapsed sigmoid/cross-entropy logit
+    ``X`` is one network's ``(n, d)`` batch with ``(n,)`` labels, or a
+    stack's ``(K, n, d)`` batches with ``(K, n)`` labels, when ``params``
+    and ``grads`` lead with the same K (see :func:`_forward_batch`); each
+    network's gradients are the bytes it would get alone. The
+    classification path uses the collapsed sigmoid/cross-entropy logit
     gradient; the regression path uses the closed-form censored-regression
-    derivative. ``X`` must be a non-empty float64 matrix; the labels are
-    not checked here: callers pass finite ``t_d`` and binary ``p``/``y``,
-    as :meth:`ScanDataset.validate` ensures for :func:`train`. Non-finite
-    predictions raise ValueError before any gradient is written, so a
-    diverging run stops at the step where it diverged.
+    derivative. ``X`` must be non-empty float64; the labels are not
+    checked here: callers pass finite ``t_d`` and binary ``p``/``y``, as
+    :meth:`ScanDataset.validate` ensures for :func:`train`. Non-finite
+    predictions raise :class:`FoldError`, indexing the first network that
+    has them, before any gradient is written, so a diverging run stops at
+    the step where it diverged.
     """
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("backward expects a non-empty 2-d feature batch")
-    n = X.shape[0]
+    if X.ndim not in (2, 3) or X.shape[-2] == 0:
+        raise ValueError("backward expects a non-empty 2-d feature batch, or a stack of them")
+    n = X.shape[-2]
     y_hat, t_pred, _, hiddens = _forward_batch(params, X)
-    if not (math.isfinite(t_pred.sum()) and math.isfinite(y_hat.sum())):
-        raise ValueError("training diverged: non-finite predictions in a minibatch")
+    sums = zip(t_pred.sum(axis=-1).reshape(-1).tolist(), y_hat.sum(axis=-1).reshape(-1).tolist())
+    finite = [math.isfinite(a) and math.isfinite(b) for a, b in sums]
+    if not all(finite):
+        raise FoldError(
+            finite.index(False), "training diverged: non-finite predictions in a minibatch"
+        )
     d_logit = (y_hat - y) / n
     d_tpred = joint_loss_grad(t_pred, t_d, p, loss_cfg) / n
+    # each network's column of the head gradients
+    d_logit_c, d_tpred_c = d_logit[..., None], d_tpred[..., None]
 
-    h = hiddens[-1]
-    np.matmul(h.T, d_logit, out=grads["w_cls"])
-    grads["b_cls"][0] = d_logit.sum()
-    np.matmul(h.T, d_tpred, out=grads["w_reg"])
-    grads["b_reg"][0] = d_tpred.sum()
-    d_h = d_logit[:, None] * params["w_cls"] + d_tpred[:, None] * params["w_reg"]
+    h_t = hiddens[-1].swapaxes(-1, -2)
+    np.matmul(h_t, d_logit_c, out=grads["w_cls"][..., None])
+    d_logit.sum(axis=-1, keepdims=True, out=grads["b_cls"])
+    np.matmul(h_t, d_tpred_c, out=grads["w_reg"][..., None])
+    d_tpred.sum(axis=-1, keepdims=True, out=grads["b_reg"])
+    d_h = d_logit_c * params["w_cls"][..., None, :] + d_tpred_c * params["w_reg"][..., None, :]
     for i in range(len(hiddens) - 2, -1, -1):
         dz = d_h * (hiddens[i + 1] > 0)
-        np.matmul(hiddens[i].T, dz, out=grads[f"W{i}"])
-        dz.sum(axis=0, out=grads[f"b{i}"])
+        np.matmul(hiddens[i].swapaxes(-1, -2), dz, out=grads[f"W{i}"])
+        dz.sum(axis=-2, out=grads[f"b{i}"])
         if i > 0:
-            d_h = dz @ params[f"W{i}"].T
+            d_h = dz @ params[f"W{i}"].swapaxes(-1, -2)
     return y_hat, t_pred
 
 
@@ -312,14 +342,16 @@ def backward(grads: dict, params: dict, X: np.ndarray, t_d, p, y, loss_cfg: Loss
 
 @dataclass
 class AdamState:
-    """Adam's parameters, moments and gradient, each one flat float64
-    buffer.
+    """Adam's parameters, moments and gradient for a stack of K networks of
+    one shape, each a ``(K, P)`` float64 buffer.
 
-    ``theta``, ``m``, ``v`` and ``grad`` lay the parameters end to end in
-    the key order of ``params``, whose values are views into ``theta``: an
-    update of ``theta`` is an update of every parameter array. ``grads``
-    holds the same views into ``grad``, which :func:`backward` writes and
-    :func:`adam_step` reads.
+    Row k of ``theta``, ``m``, ``v`` and ``grad`` lays network k's
+    parameters end to end in the key order of ``params``, whose values are
+    ``(K, ...)`` views into ``theta``: an update of ``theta`` is an update
+    of every parameter array. ``grads`` holds the same views into
+    ``grad``, which :func:`backward` writes and :func:`adam_step` reads.
+    ``t`` counts each network's steps, and ``scratch`` holds two buffers
+    of ``theta``'s shape for the step's temporaries.
     """
 
     params: dict
@@ -328,41 +360,76 @@ class AdamState:
     v: np.ndarray
     grad: np.ndarray
     grads: dict
-    t: int = 0
+    t: np.ndarray
+    scratch: np.ndarray
+
+    @classmethod
+    def for_stack(cls, stack: list) -> "AdamState":
+        """A stack of the networks ``stack``, dicts with the same keys and
+        shapes, one row each."""
+        theta = np.stack(
+            [np.concatenate(list(p.values()), axis=None, dtype=np.float64) for p in stack]
+        )
+        shapes = {k: np.shape(v) for k, v in stack[0].items()}
+        grad = np.zeros_like(theta)
+        return cls(
+            _flat_views(theta, shapes), theta, np.zeros_like(theta), np.zeros_like(theta),
+            grad, _flat_views(grad, shapes), np.zeros(len(stack), np.int64),
+            np.empty((2, *theta.shape)),
+        )
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
-        """Copy ``params`` into a flat buffer and rebind each entry of the
-        dict, in place, to its view, so the caller's dict stays live."""
-        theta = np.concatenate(list(params.values()), axis=None, dtype=np.float64)
-        params.update(_flat_views(theta, params))
-        grad = np.zeros_like(theta)
-        return cls(
-            params, theta, np.zeros_like(theta), np.zeros_like(theta), grad,
-            _flat_views(grad, params),
+        """One network as a stack of one, whose ``params`` and ``grads``
+        drop the stack axis: copy ``params`` into the buffer and rebind each
+        entry of the dict, in place, to its view, so the caller's dict stays
+        live."""
+        state = cls.for_stack([params])
+        params.update((k, a[0]) for k, a in state.params.items())
+        state.params = params
+        state.grads = {k: a[0] for k, a in state.grads.items()}
+        return state
+
+    def row(self, k: int) -> "AdamState":
+        """Network ``k`` of the stack as a stack of one: views of the same
+        buffers, step count included."""
+        r = slice(k, k + 1)
+        return AdamState(
+            {key: a[r] for key, a in self.params.items()}, self.theta[r], self.m[r],
+            self.v[r], self.grad[r], {key: a[r] for key, a in self.grads.items()},
+            self.t[r], self.scratch[:, r],
         )
 
 
 def adam_step(state: AdamState, lr: float, weight_decay: float) -> None:
     """One Adam update (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected)
-    of ``state.theta`` from the gradient in ``state.grad``, in place.
+    of every network in ``state`` from the gradient in ``state.grad``, in
+    place.
 
     Weight decay enters as a plain L2 gradient term (g += wd * param),
-    added into ``state.grad``, before the moment updates.
+    added into ``state.grad``, before the moment updates. Each network's
+    bias corrections come from its own step count; the temporaries live in
+    ``state.scratch``, so the step allocates nothing of ``theta``'s size.
     """
     state.t += 1
-    t = state.t
-    g = state.grad
+    # Python floats: numpy's power on the step counts rounds differently
+    bias = np.array([(1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t) for t in state.t.tolist()])
+    g, m, v = state.grad, state.m, state.v
+    a, b = state.scratch
     if weight_decay != 0.0:
-        g += weight_decay * state.theta
-    m, v = state.m, state.v
+        g += np.multiply(state.theta, weight_decay, out=a)
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * g
+    m += np.multiply(g, 1 - ADAM_BETA1, out=a)
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * g * g
-    m_hat = m / (1 - ADAM_BETA1**t)
-    v_hat = v / (1 - ADAM_BETA2**t)
-    state.theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(g, 1 - ADAM_BETA2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, bias[:, :1], out=a)  # m_hat
+    a *= lr
+    np.divide(v, bias[:, 1:], out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    state.theta -= a
 
 
 def effective_lr(epoch: int, tcfg: TrainConfig) -> float:
@@ -403,8 +470,12 @@ def train(
     regression-head bias starts at the training set's mean ``t_d``. Both
     sets are validated once here; a minibatch with non-finite predictions,
     or a run in which no epoch has a finite validation loss, raises
-    ValueError.
+    ValueError. A stack of one for :func:`train_folds`.
     """
+    return train_folds([(train_set, val_set, mcfg, tcfg)])[0]
+
+
+def _check_split(train_set: ScanDataset, val_set: ScanDataset) -> None:
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     if val_set.input_dim != train_set.input_dim:
@@ -420,56 +491,106 @@ def train(
             f"patients appear in both train and validation: {sorted(overlap)[:5]}"
         )
 
-    params = init_params(mcfg, train_set.input_dim, t_d_mean=float(np.mean(train_set.t_d)))
-    state = AdamState.for_params(params)
-    rng = np.random.default_rng(tcfg.seed)
-    n, b = len(train_set), tcfg.batch_size
-    # each step's predictions, in the epoch's order, for its train loss
-    y_hat, t_pred = np.empty(n), np.empty(n)
 
-    history = TrainHistory([], [], [], 0)
-    best_loss = np.inf
-    best_params = None
-    best_epoch = 0
+def train_folds(folds) -> list[tuple[dict, TrainHistory]]:
+    """:func:`train` each of ``folds``, a sequence of ``(train_set,
+    val_set, mcfg, tcfg)``, in lock-step; returns each fold's snapshot and
+    history, the bytes :func:`train` gives it alone.
+
+    The folds share every setting but the seeds, and their input width.
+    Their networks are one stack: each step of :func:`backward` and
+    :func:`adam_step` updates all of them. Every epoch, the folds take
+    ``min(train sizes) // batch_size`` batches together; then each fold
+    takes its remaining batches alone, in fold order. A fold's error is a
+    :class:`FoldError` indexing it: the first fold to diverge, the lowest
+    of those diverging on the same step, or the lowest fold whose split is
+    refused or whose validation loss is never finite.
+    """
+    for i, (train_set, val_set, _, _) in enumerate(folds):
+        try:
+            _check_split(train_set, val_set)
+        except ValueError as exc:
+            raise FoldError(i, str(exc)) from exc
+    first, _, mcfg, tcfg = folds[0]
+    if any(
+        replace(m, seed=0) != replace(mcfg, seed=0) or replace(t, seed=0) != replace(tcfg, seed=0)
+        or ts.input_dim != first.input_dim for ts, _, m, t in folds
+    ):
+        raise ValueError("the folds of a stack must share their input width and every "
+                         "setting but the seeds")
+
+    state = AdamState.for_stack([
+        init_params(m, ts.input_dim, t_d_mean=float(np.mean(ts.t_d))) for ts, _, m, _ in folds
+    ])
+    nets = [{key: a[k] for key, a in state.params.items()} for k in range(len(folds))]
+    rngs = [np.random.default_rng(t.seed) for *_, t in folds]
+    sizes = [len(ts) for ts, *_ in folds]
+    b = tcfg.batch_size
+    # (networks, their rows of the stack, first and end scan of their steps):
+    # the whole stack's steps, then each fold's remaining steps alone
+    together = min(sizes) // b * b
+    runs = [(state, slice(0, len(folds)), 0, together)] + [
+        (state.row(k), slice(k, k + 1), together, n) for k, n in enumerate(sizes)
+    ]
+    # each fold's epoch order: shuffled training columns, then each step's
+    # predictions for its train loss
+    shape = (len(folds), max(sizes))
+    X = np.empty(shape + (first.input_dim,))
+    t_d, p, y = np.empty(shape), np.empty(shape, np.int64), np.empty(shape, np.int64)
+    y_hat, t_pred = np.empty(shape), np.empty(shape)
+
+    histories = [TrainHistory([], [], [], 0) for _ in folds]
+    best_loss = [np.inf] * len(folds)
+    best_params = [None] * len(folds)
 
     for epoch in range(1, tcfg.max_epochs + 1):
         lr = effective_lr(epoch, tcfg)
-        order = rng.permutation(n)
-        X, t_d, p, y = (
-            a[order] for a in (train_set.features, train_set.t_d, train_set.p, train_set.y)
-        )
-        for start in range(0, n, b):
-            batch = slice(start, start + b)
-            y_hat[batch], t_pred[batch] = backward(
-                state.grads, params, X[batch], t_d[batch], p[batch], y[batch], tcfg.loss
+        for k, ((ts, *_), rng) in enumerate(zip(folds, rngs)):
+            order = rng.permutation(sizes[k])
+            for column, out in zip((ts.features, ts.t_d, ts.p, ts.y), (X, t_d, p, y)):
+                np.take(column, order, axis=0, out=out[k, : sizes[k]])
+        for run, rows, begin, end in runs:
+            for start in range(begin, end, b):
+                batch = rows, slice(start, min(start + b, end))
+                try:
+                    y_hat[batch], t_pred[batch] = backward(
+                        run.grads, run.params, X[batch], t_d[batch], p[batch], y[batch],
+                        tcfg.loss,
+                    )
+                except FoldError as exc:
+                    exc.index += rows.start
+                    raise
+                adam_step(run, lr, tcfg.weight_decay)
+
+        for k, ((_, val_set, *_), history) in enumerate(zip(folds, histories)):
+            n = sizes[k]
+            loss = fused_joint_loss(
+                y_hat[k, :n], t_pred[k, :n], t_d[k, :n], p[k, :n], y[k, :n], tcfg.loss
             )
-            adam_step(state, lr, tcfg.weight_decay)
-        loss = fused_joint_loss(y_hat, t_pred, t_d, p, y, tcfg.loss)
-        history.train_loss.append(_train_loss(loss, b))
+            history.train_loss.append(_train_loss(loss, b))
+            y_hat_val, t_pred_val = _forward_blocked(nets[k], val_set.features)
+            val_loss = _batch_loss(
+                y_hat_val, t_pred_val, val_set.t_d, val_set.p, val_set.y, tcfg.loss
+            )
+            history.val_loss.append(val_loss)
+            try:
+                auc, _ = roc_auc(y_hat_val, val_set.y)
+            except ValueError:  # single-class validation split
+                auc = float("nan")
+            history.val_auc.append(auc)
+            if val_loss < best_loss[k]:
+                best_loss[k] = val_loss
+                best_params[k] = {key: a.copy() for key, a in nets[k].items()}
+                history.selected_epoch = epoch
 
-        y_hat_val, t_pred_val = _forward_blocked(params, val_set.features)
-        val_loss = _batch_loss(
-            y_hat_val, t_pred_val, val_set.t_d, val_set.p, val_set.y, tcfg.loss
-        )
-        history.val_loss.append(val_loss)
-        try:
-            auc, _ = roc_auc(y_hat_val, val_set.y)
-        except ValueError:  # single-class validation split
-            auc = float("nan")
-        history.val_auc.append(auc)
-
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
-            best_epoch = epoch
-
-    if best_epoch == 0:
-        raise ValueError(
-            f"no epoch of {tcfg.max_epochs} gave a finite validation loss "
-            f"(last: {history.val_loss[-1]!r}); nothing to select"
-        )
-    history.selected_epoch = best_epoch
-    return best_params, history
+    for k, history in enumerate(histories):
+        if history.selected_epoch == 0:
+            raise FoldError(
+                k,
+                f"no epoch of {tcfg.max_epochs} gave a finite validation loss "
+                f"(last: {history.val_loss[-1]!r}); nothing to select",
+            )
+    return list(zip(best_params, histories))
 
 
 @dataclass(eq=False)
@@ -566,27 +687,35 @@ def _init_worker(*crossval) -> None:
     _worker_crossval = crossval
 
 
-def _worker_fold(fold: int) -> tuple[PredictionTable, TrainHistory]:
-    return _run_fold(*_worker_crossval, fold)
+def _worker_folds(folds: tuple[int, ...]) -> list[tuple[PredictionTable, TrainHistory]]:
+    return _run_folds(*_worker_crossval, folds)
 
 
-def _run_fold(
-    dataset: ScanDataset, assignments, mcfg: ModelConfig, tcfg: TrainConfig, fold: int
-) -> tuple[PredictionTable, TrainHistory]:
-    """One whole fold: subset its patients, :func:`train` on them with the
-    fold's seeds, with the fold number in its errors, and predict its test
-    scans. Runs in a worker process or in-process alike."""
-    fa = assignments[fold]
-    try:
-        params, history = train(
-            dataset.subset_patients(fa.train),
-            dataset.subset_patients(fa.val),
+def _run_folds(
+    dataset: ScanDataset, assignments, mcfg: ModelConfig, tcfg: TrainConfig,
+    folds: tuple[int, ...],
+) -> list[tuple[PredictionTable, TrainHistory]]:
+    """Whole folds in one stack: subset each fold's patients,
+    :func:`train_folds` them with each fold's seeds, with the failing
+    fold's number in an error, and predict each fold's test scans. Runs in
+    a worker process or in-process alike."""
+    stack = [
+        (
+            dataset.subset_patients(assignments[fold].train),
+            dataset.subset_patients(assignments[fold].val),
             replace(mcfg, seed=fold_seed(mcfg.seed, fold)),
             replace(tcfg, seed=fold_seed(tcfg.seed, fold)),
         )
-    except ValueError as exc:
-        raise ValueError(f"fold {fold}: {exc}") from exc
-    return predict(params, dataset.subset_patients(fa.test), fold), history
+        for fold in folds
+    ]
+    try:
+        trained = train_folds(stack)
+    except FoldError as exc:
+        raise ValueError(f"fold {folds[exc.index]}: {exc}") from exc
+    return [
+        (predict(params, dataset.subset_patients(assignments[fold].test), fold), history)
+        for fold, (params, history) in zip(folds, trained)
+    ]
 
 
 def run_crossval(
@@ -598,36 +727,47 @@ def run_crossval(
     validation never saw its patient. Per-fold training uses independent
     seeds derived from (config seed, fold index).
 
-    A fold is one job: it subsets its train, validation and test patients,
-    trains and predicts. The jobs run in ``min(k, available CPUs)`` forked
-    worker processes, which inherit the dataset, the fold assignments and
-    the configs by fork and are sent only fold numbers; or in this process
-    when that is one or ``fork`` is unavailable. Both give the same bytes.
-    Each fold's predictions and history come back, and the predictions are
-    pooled here in fold order. All workers have exited when this returns
-    or raises; a worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``.
+    The folds run in ``min(k, available CPUs)`` forked worker processes;
+    worker ``w`` owns the folds ``f`` with ``f % workers == w`` and trains
+    them as one stack (:func:`train_folds`), so each worker's share is one
+    job. The workers inherit the dataset, the fold assignments and the
+    configs by fork and are sent only fold numbers. When that count is one
+    or ``fork`` is unavailable, all folds form one stack in this process.
+    Every layout gives the same bytes. Each fold's predictions and history
+    come back, and the predictions are pooled here in fold order.
+
+    A failing fold raises ValueError prefixed ``fold N:``, and stops its
+    stack: N is the first fold of the stack to diverge, the lowest of
+    those diverging on the same step. When several workers fail, the
+    error of the worker owning the lowest fold numbers is raised. All
+    workers have exited when this returns or raises; a worker that dies
+    raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     assignments = crossval_split(dataset.patients(), k, tcfg.seed)
     crossval = (dataset, assignments, mcfg, tcfg)
-    workers = min(k, _available_cpus())
     # fork, not spawn: a spawned worker imports numpy, scipy.special and cfpt
     # again, 0.5 s on a 2-vCPU VM, longer than a whole 4-epoch reference
     # crossval there, and would need the dataset pickled. In the CLI the
     # only other threads are OpenBLAS's, which it stops before a fork
     # (pthread_atfork).
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    pooled = "fork" in multiprocessing.get_all_start_methods()
+    workers = min(k, _available_cpus()) if pooled else 1
+    groups = [tuple(range(w, k, workers)) for w in range(workers)]
+    if workers > 1:
         import scipy.special  # noqa: F401 -- once here, not in each worker after the fork
         context = multiprocessing.get_context("fork")
         # under fork the initializer's arguments are inherited, not pickled
         with ProcessPoolExecutor(
             workers, mp_context=context, initializer=_init_worker, initargs=crossval
         ) as pool:
-            folds = list(pool.map(_worker_fold, range(k)))
+            done = list(pool.map(_worker_folds, groups))
     else:
-        folds = [_run_fold(*crossval, fold) for fold in range(k)]
+        done = [_run_folds(*crossval, groups[0])]
 
-    tables, histories = zip(*folds)
+    by_fold = dict(zip(
+        (fold for group in groups for fold in group), (r for rs in done for r in rs)
+    ))
+    tables, histories = zip(*(by_fold[fold] for fold in range(k)))
     predictions = PredictionTable(
         [sid for table in tables for sid in table.scan_ids],
         *(np.concatenate([getattr(table, name) for table in tables])

@@ -1495,14 +1495,14 @@ def test_main_crossval_dead_worker_is_one_line_and_leaves_no_worker(tmp_path, ca
     cfg_path = _crossval_inputs(tmp_path)
     capfd.readouterr()
     parent = os.getpid()
-    real_train = cfpt.model.train
+    real_train_folds = cfpt.model.train_folds
 
     def dies_in_a_worker(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return real_train(*args)
+        return real_train_folds(*args)
 
-    monkeypatch.setattr(cfpt.model, "train", dies_in_a_worker)
+    monkeypatch.setattr(cfpt.model, "train_folds", dies_in_a_worker)
     run = tmp_path / "run"
     assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
     err = capfd.readouterr().err
@@ -1561,7 +1561,7 @@ def test_main_crossval_worker_memory_error_is_one_line(tmp_path, capfd, monkeypa
     def exhausted(*args):  # in the fold's worker process, where there are workers
         raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-    monkeypatch.setattr(cfpt.model, "train", exhausted)
+    monkeypatch.setattr(cfpt.model, "train_folds", exhausted)
     run = tmp_path / "run"
     assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
     err = capfd.readouterr().err

@@ -49,6 +49,7 @@ from cfpt.model import (
     effective_lr,
     init_params,
     train,
+    train_folds,
 )
 from helpers import blas_kernel
 
@@ -225,6 +226,33 @@ def test_train_equals_the_loop_it_replaced(lam, weight_decay, hidden_dims):
     assert params.keys() == ref_params.keys()
     for k in params:
         assert params[k].tobytes() == ref_params[k].tobytes(), k
+
+
+# training set sizes of each stack, at batch 12: 7 is smaller than a batch,
+# 103 and 61 end on a partial batch (61 on a single row), 96 is an exact
+# multiple; the stack of five steps together for five batches
+STACK_SIZES = {1: (103,), 2: (96, 103), 3: (103, 7, 96), 5: (103, 96, 130, 61, 100)}
+
+
+@pytest.mark.parametrize("hidden_dims", [(), (16,), (8, 6, 4)])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("k", sorted(STACK_SIZES))
+def test_stacked_folds_equal_the_loop_fold_by_fold(k, lam, weight_decay, hidden_dims):
+    rng = np.random.default_rng(60)
+    folds = [
+        (_random_dataset(rng, n, f"t{i}"), _random_dataset(rng, 41, f"v{i}"),
+         ModelConfig(hidden_dims=hidden_dims, seed=i),
+         TrainConfig(max_epochs=5, lr0=1e-2, lr_decay_epochs=(3,), weight_decay=weight_decay,
+                     batch_size=12, loss=LossConfig(lam=lam), seed=10 + i))
+        for i, n in enumerate(STACK_SIZES[k])
+    ]
+    for i, (fold, (params, history)) in enumerate(zip(folds, train_folds(folds))):
+        ref_params, ref_history = _train_reference(*fold)
+        assert history == ref_history, i
+        assert params.keys() == ref_params.keys()
+        for key in params:
+            assert params[key].tobytes() == ref_params[key].tobytes(), (i, key)
 
 
 def _subset_reference(ds, indices):

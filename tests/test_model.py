@@ -12,10 +12,12 @@ from cfpt.losses import LossConfig
 from cfpt.model import (
     ADAM_EPS,
     AdamState,
+    FoldAssignment,
     ModelConfig,
     ScanDataset,
     TrainConfig,
     _forward_batch,
+    _run_folds,
     adam_step,
     backward,
     build_dataset,
@@ -26,6 +28,7 @@ from cfpt.model import (
     predict,
     run_crossval,
     train,
+    train_folds,
 )
 from helpers import network_gradients, network_loss, random_network_instance
 
@@ -449,11 +452,12 @@ def test_run_crossval_deterministic():
 def test_run_crossval_sends_its_workers_only_fold_numbers(monkeypatch):
     import cfpt.model
 
-    sizes = []
+    sizes, folds = [], []
 
     class RecordingPool(ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
             sizes.append(len(pickle.dumps((fn, args, kwargs))))
+            folds.append([int(f) for f in re.findall(r"\d+", repr(args))])
             return super().submit(fn, *args, **kwargs)
 
     ds = _toy_dataset(np.random.default_rng(40), n_patients=30)
@@ -465,7 +469,9 @@ def test_run_crossval_sends_its_workers_only_fold_numbers(monkeypatch):
     monkeypatch.setattr(cfpt.model, "ProcessPoolExecutor", RecordingPool)
     pooled = run_crossval(ds, mcfg, tcfg, k=3)
 
-    assert len(sizes) == 3 and max(sizes) < 1024, sizes
+    # one task per worker, carrying nothing but its folds' numbers
+    assert folds == [[0, 2], [1]], folds
+    assert max(sizes) < 1024, sizes
     assert pooled.predictions.scan_ids == here.predictions.scan_ids
     for name in ("y_hat", "t_pred", "fold"):
         got, want = getattr(pooled.predictions, name), getattr(here.predictions, name)
@@ -579,17 +585,69 @@ def test_backward_fails_loudly_on_non_finite_predictions():
     assert all((g == 7.0).all() for g in grads.values())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_fold_of_a_stack_is_named_by_its_number():
+    # the mean t_d of a training set with the "boom" patients overflows, so
+    # the regression bias starts at inf: a fold diverges on its first step
+    # exactly when it trains on them
+    rng = np.random.default_rng(41)
+    calm, boom = _toy_dataset(rng, n_patients=18), _toy_dataset(rng, n_patients=4)
+    ds = ScanDataset(
+        calm.scan_ids + [f"boom{s}" for s in boom.scan_ids],
+        calm.patient_ids + [f"boom{p}" for p in boom.patient_ids],
+        np.concatenate([calm.features, boom.features]),
+        np.concatenate([calm.t_d, np.full(len(boom), 1e308)]),
+        np.concatenate([calm.p, boom.p]), np.concatenate([calm.y, boom.y]),
+    )
+    pats = calm.patients()
+    boom_pats = tuple(f"boom{p}" for p in boom.patients())
+    mcfg = ModelConfig(hidden_dims=(4,), seed=2)
+
+    def fold(number, diverges):
+        train_pats = tuple(pats[:10]) + (boom_pats if diverges else ())
+        return FoldAssignment(number, train_pats, tuple(pats[10:14]), tuple(pats[14:]))
+
+    # at batch 8 the stack diverges on a step it takes together; no training
+    # set fills a batch of 64, so there every fold steps alone
+    for tcfg in (_fast_tcfg(max_epochs=2), _fast_tcfg(max_epochs=2, batch_size=64)):
+        for diverging, named in (({2}, 2), ({4}, 4), ({2, 4}, 2), ({0, 2, 4}, 0)):
+            assignments = [fold(f, f in diverging) for f in range(5)]
+            with pytest.raises(ValueError, match=rf"^fold {named}: training diverged: "):
+                _run_folds(ds, assignments, mcfg, tcfg, (0, 2, 4))
+        # a stack of one fold, and that fold alone in a stack of three
+        assignments = [fold(f, f == 1) for f in range(5)]
+        for stack in ((1,), (0, 1, 3)):
+            with pytest.raises(ValueError, match=r"^fold 1: training diverged: "):
+                _run_folds(ds, assignments, mcfg, tcfg, stack)
+
+
+def test_train_folds_refuses_folds_that_differ_in_more_than_their_seeds():
+    tr, va = _toy_split()
+    mcfg, tcfg = ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg(max_epochs=1)
+    narrow = ScanDataset(tr.scan_ids, tr.patient_ids, tr.features[:, :1], tr.t_d, tr.p, tr.y)
+    narrow_val = ScanDataset(va.scan_ids, va.patient_ids, va.features[:, :1], va.t_d, va.p, va.y)
+    for other in (
+        (tr, va, replace(mcfg, hidden_dims=(5,)), tcfg),
+        (tr, va, mcfg, replace(tcfg, batch_size=4)),
+        (narrow, narrow_val, mcfg, tcfg),
+    ):
+        with pytest.raises(ValueError, match="^the folds of a stack must share"):
+            train_folds([(tr, va, mcfg, tcfg), other])
+    seeds_only = (tr, va, replace(mcfg, seed=1), replace(tcfg, seed=2))
+    assert len(train_folds([(tr, va, mcfg, tcfg), seeds_only])) == 2
+
+
 def test_run_crossval_folds_keep_every_config_field(monkeypatch):
     import cfpt.model
 
     seen = []
-    real_train = cfpt.model.train
+    real_train_folds = cfpt.model.train_folds
 
-    def spy(train_set, val_set, mcfg, tcfg):
-        seen.append((mcfg, tcfg))
-        return real_train(train_set, val_set, mcfg, tcfg)
+    def spy(folds):
+        seen.extend((mcfg, tcfg) for _, _, mcfg, tcfg in folds)
+        return real_train_folds(folds)
 
-    monkeypatch.setattr(cfpt.model, "train", spy)
+    monkeypatch.setattr(cfpt.model, "train_folds", spy)
     # the spy sees only this process: train the folds here, not in workers
     monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
     ds = _toy_dataset(np.random.default_rng(39), n_patients=9)
