@@ -7,13 +7,14 @@ minimizes the joint objective from :mod:`cfpt.losses` with Adam, a step
 learning-rate decay, and selection of the parameter snapshot at the epoch
 of minimum validation loss. Cross-validation is split at the patient
 level so no patient's scans appear in more than one of train / validation
-/ test within a fold. The folds of one process train in lock-step: their
-networks are one stack, with the fold as the leading axis of every
-parameter, gradient and moment buffer, so one minibatch step updates them
-all, each to the bytes it would reach alone. Each forked worker process
-(up to one per available CPU) owns one such group of folds: it inherits
-the dataset, subsets its folds' patients, trains them as one stack and
-predicts their test scans.
+/ test within a fold. :func:`train` is the one way into training: it
+takes a list of folds and trains them in lock-step. Their networks are one
+stack, with the fold as the leading axis of every parameter, gradient and
+moment buffer, so one minibatch step updates them all, each to the bytes
+it would reach alone; one network is a stack of one. Each forked worker
+process (up to one per available CPU) owns one such group of folds: it
+inherits the dataset, subsets its folds' patients, trains them as one
+stack and predicts their test scans.
 
 Everything is plain float64 numpy; all randomness flows from explicit
 seeds, so a (seed, config, data) triple fully determines every output.
@@ -243,11 +244,14 @@ def _forward_blocked(params: dict, X: np.ndarray, rows: int = _BLOCK_ROWS):
     blocks of ``rows`` rows; two empty arrays when ``X`` has no rows.
 
     Small blocks keep every matmul under the BLAS library's threading
-    threshold, so a process uses one CPU. With ``rows`` a multiple of 4,
-    each row's outputs are the bytes of one whole pass: the BLAS kernels
-    take rows in groups of up to 4, so the groups are the same, and a
-    last row alone, which numpy would multiply by another routine, joins
-    the block before it.
+    threshold, so a process uses one CPU. A last row alone, which numpy
+    would multiply by another routine, joins the block before it. Whether
+    each row's outputs are the bytes of one whole pass depends on the BLAS
+    kernel: with ``rows`` a multiple of 4 they are under OpenBLAS's
+    SkylakeX kernel, and they are not under its Haswell (which Zen loads),
+    Sandybridge or Katmai kernels, where the blocked-forward tests of
+    ``tests/test_fastpath.py`` fail. Nothing in the pipeline compares the
+    two: per-epoch validation and :func:`predict` both run blocked.
     """
     n = len(X)
     y_hat, t_pred = np.empty(n), np.empty(n)
@@ -378,18 +382,6 @@ class AdamState:
             np.empty((2, *theta.shape)),
         )
 
-    @classmethod
-    def for_params(cls, params: dict) -> "AdamState":
-        """One network as a stack of one, whose ``params`` and ``grads``
-        drop the stack axis: copy ``params`` into the buffer and rebind each
-        entry of the dict, in place, to its view, so the caller's dict stays
-        live."""
-        state = cls.for_stack([params])
-        params.update((k, a[0]) for k, a in state.params.items())
-        state.params = params
-        state.grads = {k: a[0] for k, a in state.grads.items()}
-        return state
-
     def row(self, k: int) -> "AdamState":
         """Network ``k`` of the stack as a stack of one: views of the same
         buffers, step count included."""
@@ -457,24 +449,6 @@ def _train_loss(loss: np.ndarray, batch_size: int) -> float:
     return total / n
 
 
-def train(
-    train_set: ScanDataset,
-    val_set: ScanDataset,
-    mcfg: ModelConfig,
-    tcfg: TrainConfig,
-) -> tuple[dict, TrainHistory]:
-    """Mini-batch Adam with per-epoch reshuffling and step lr decay.
-
-    Returns the parameter snapshot from the epoch of minimum validation
-    loss (earliest epoch on ties) together with the full history. The
-    regression-head bias starts at the training set's mean ``t_d``. Both
-    sets are validated once here; a minibatch with non-finite predictions,
-    or a run in which no epoch has a finite validation loss, raises
-    ValueError. A stack of one for :func:`train_folds`.
-    """
-    return train_folds([(train_set, val_set, mcfg, tcfg)])[0]
-
-
 def _check_split(train_set: ScanDataset, val_set: ScanDataset) -> None:
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -492,19 +466,26 @@ def _check_split(train_set: ScanDataset, val_set: ScanDataset) -> None:
         )
 
 
-def train_folds(folds) -> list[tuple[dict, TrainHistory]]:
-    """:func:`train` each of ``folds``, a sequence of ``(train_set,
-    val_set, mcfg, tcfg)``, in lock-step; returns each fold's snapshot and
-    history, the bytes :func:`train` gives it alone.
+def train(folds) -> list[tuple[dict, TrainHistory]]:
+    """Mini-batch Adam with per-epoch reshuffling and step lr decay for
+    each of ``folds``, a sequence of ``(train_set, val_set, mcfg, tcfg)``;
+    one network is a list of one fold.
+
+    Returns, per fold, the parameter snapshot from the epoch of minimum
+    validation loss (earliest epoch on ties) together with the full
+    history. A fold's regression-head bias starts at its training set's
+    mean ``t_d``, and its sets are validated once here.
 
     The folds share every setting but the seeds, and their input width.
     Their networks are one stack: each step of :func:`backward` and
-    :func:`adam_step` updates all of them. Every epoch, the folds take
-    ``min(train sizes) // batch_size`` batches together; then each fold
-    takes its remaining batches alone, in fold order. A fold's error is a
-    :class:`FoldError` indexing it: the first fold to diverge, the lowest
-    of those diverging on the same step, or the lowest fold whose split is
-    refused or whose validation loss is never finite.
+    :func:`adam_step` updates all of them, each to the bytes it reaches
+    when trained alone. Every epoch, the folds take ``min(train sizes) //
+    batch_size`` batches together; then each fold takes its remaining
+    batches alone, in fold order. A fold's error is a :class:`FoldError`
+    indexing it: the first fold to diverge (non-finite predictions in a
+    minibatch), the lowest of those diverging on the same step, or the
+    lowest fold whose split is refused or in which no epoch has a finite
+    validation loss.
     """
     for i, (train_set, val_set, _, _) in enumerate(folds):
         try:
@@ -696,7 +677,7 @@ def _run_folds(
     folds: tuple[int, ...],
 ) -> list[tuple[PredictionTable, TrainHistory]]:
     """Whole folds in one stack: subset each fold's patients,
-    :func:`train_folds` them with each fold's seeds, with the failing
+    :func:`train` them with each fold's seeds, with the failing
     fold's number in an error, and predict each fold's test scans. Runs in
     a worker process or in-process alike."""
     stack = [
@@ -709,7 +690,7 @@ def _run_folds(
         for fold in folds
     ]
     try:
-        trained = train_folds(stack)
+        trained = train(stack)
     except FoldError as exc:
         raise ValueError(f"fold {folds[exc.index]}: {exc}") from exc
     return [
@@ -729,20 +710,26 @@ def run_crossval(
 
     The folds run in ``min(k, available CPUs)`` forked worker processes;
     worker ``w`` owns the folds ``f`` with ``f % workers == w`` and trains
-    them as one stack (:func:`train_folds`), so each worker's share is one
-    job. The workers inherit the dataset, the fold assignments and the
-    configs by fork and are sent only fold numbers. When that count is one
-    or ``fork`` is unavailable, all folds form one stack in this process.
+    them as one stack (:func:`train`), so each worker's share is one job.
+    The workers inherit the dataset, the fold assignments and the configs
+    by fork and are sent only fold numbers. When that count is one or
+    ``fork`` is unavailable, all folds form one stack in this process.
     Every layout gives the same bytes. Each fold's predictions and history
     come back, and the predictions are pooled here in fold order.
 
-    A failing fold raises ValueError prefixed ``fold N:``, and stops its
-    stack: N is the first fold of the stack to diverge, the lowest of
-    those diverging on the same step. When several workers fail, the
-    error of the worker owning the lowest fold numbers is raised. All
-    workers have exited when this returns or raises; a worker that dies
-    raises ``concurrent.futures.process.BrokenProcessPool``.
+    A dataset whose ``y`` holds one value raises ValueError naming that
+    value before any fold trains: no fold could learn to separate the
+    classes, and every validation AUC would be undefined. A failing fold
+    raises ValueError prefixed ``fold N:``, and stops its stack: N is the
+    first fold of the stack to diverge, the lowest of those diverging on
+    the same step. When several workers fail, the error of the worker
+    owning the lowest fold numbers is raised. All workers have exited when
+    this returns or raises; a worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.
     """
+    classes = np.unique(dataset.y)
+    if len(classes) == 1:
+        raise ValueError(f"every scan has y = {classes[0]}: crossval needs both classes")
     assignments = crossval_split(dataset.patients(), k, tcfg.seed)
     crossval = (dataset, assignments, mcfg, tcfg)
     # fork, not spawn: a spawned worker imports numpy, scipy.special and cfpt

@@ -1487,6 +1487,19 @@ def test_main_crossval_fold_error_is_one_line_and_leaves_no_worker(tmp_path, cap
     assert not run.exists()
 
 
+def test_main_crossval_of_one_class_is_one_line_before_any_fold_trains(tmp_path, capfd):
+    # onsets a million years out: no cancer is found, so every scan has y = 0
+    cfg_path = _crossval_inputs(tmp_path, "cohort.onset_scale = 1e6\n")
+    assert "malignant scans: 0" in capfd.readouterr().out.splitlines()
+    run = tmp_path / "run"
+    assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
+    assert _error_lines(capfd.readouterr().err) == [
+        "error:data: every scan has y = 0: crossval needs both classes"
+    ]
+    assert multiprocessing.active_children() == []
+    assert not run.exists()
+
+
 @pytest.mark.skipif(
     cfpt.model._available_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
     reason="crossval runs in-process here: no worker to lose",
@@ -1495,14 +1508,14 @@ def test_main_crossval_dead_worker_is_one_line_and_leaves_no_worker(tmp_path, ca
     cfg_path = _crossval_inputs(tmp_path)
     capfd.readouterr()
     parent = os.getpid()
-    real_train_folds = cfpt.model.train_folds
+    real_train = cfpt.model.train
 
     def dies_in_a_worker(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return real_train_folds(*args)
+        return real_train(*args)
 
-    monkeypatch.setattr(cfpt.model, "train_folds", dies_in_a_worker)
+    monkeypatch.setattr(cfpt.model, "train", dies_in_a_worker)
     run = tmp_path / "run"
     assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
     err = capfd.readouterr().err
@@ -1561,7 +1574,7 @@ def test_main_crossval_worker_memory_error_is_one_line(tmp_path, capfd, monkeypa
     def exhausted(*args):  # in the fold's worker process, where there are workers
         raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-    monkeypatch.setattr(cfpt.model, "train_folds", exhausted)
+    monkeypatch.setattr(cfpt.model, "train", exhausted)
     run = tmp_path / "run"
     assert main(["crossval", "--config", str(cfg_path), "--out", str(run)]) == 1
     err = capfd.readouterr().err

@@ -49,7 +49,6 @@ from cfpt.model import (
     effective_lr,
     init_params,
     train,
-    train_folds,
 )
 from helpers import blas_kernel
 
@@ -107,17 +106,15 @@ def test_flat_adam_equals_per_key_loop(weight_decay):
 
     expected = _adam_reference({k: v.copy() for k, v in init.items()}, grads_seq, lrs, weight_decay)
 
-    params = {k: v.copy() for k, v in init.items()}
-    state = AdamState.for_params(params)
+    state = AdamState.for_stack([init])
     for grads, lr in zip(grads_seq, lrs):
         for k, g in grads.items():
-            state.grads[k][...] = g
+            state.grads[k][0] = g
         adam_step(state, lr, weight_decay)
-    assert state.t == 200
+    assert state.t.tolist() == [200]
     for k in shapes:
-        assert params[k].shape == shapes[k]
-        assert params[k].tobytes() == expected[k].tobytes(), k
-        assert state.params[k] is params[k]
+        assert state.params[k].shape == (1, *shapes[k])
+        assert state.params[k][0].tobytes() == expected[k].tobytes(), k
 
 
 def test_blocked_forward_equals_whole_pass():
@@ -164,8 +161,11 @@ def _train_reference(train_set, val_set, mcfg, tcfg):
     """A plainer training loop: backward and adam_step per minibatch, the
     train loss summed from each batch's mean, and the validation forward
     pass in one piece."""
-    params = init_params(mcfg, train_set.input_dim, t_d_mean=float(np.mean(train_set.t_d)))
-    state = AdamState.for_params(params)
+    state = AdamState.for_stack(
+        [init_params(mcfg, train_set.input_dim, t_d_mean=float(np.mean(train_set.t_d)))]
+    )
+    params = {k: v[0] for k, v in state.params.items()}
+    grads = {k: v[0] for k, v in state.grads.items()}
     rng = np.random.default_rng(tcfg.seed)
     n = len(train_set)
     history = TrainHistory([], [], [], 0)
@@ -180,7 +180,7 @@ def _train_reference(train_set, val_set, mcfg, tcfg):
         for start in range(0, n, tcfg.batch_size):
             batch = slice(start, start + tcfg.batch_size)
             labels = t_d[batch], p[batch], y[batch]
-            y_hat, t_pred = backward(state.grads, params, X[batch], *labels, tcfg.loss)
+            y_hat, t_pred = backward(grads, params, X[batch], *labels, tcfg.loss)
             adam_step(state, lr, tcfg.weight_decay)
             loss_sum += _batch_loss(y_hat, t_pred, *labels, tcfg.loss) * len(y_hat)
         history.train_loss.append(loss_sum / n)
@@ -219,7 +219,7 @@ def test_train_equals_the_loop_it_replaced(lam, weight_decay, hidden_dims):
         max_epochs=7, lr0=1e-2, lr_decay_epochs=(3, 5), weight_decay=weight_decay,
         batch_size=12, loss=LossConfig(lam=lam), seed=6,
     )
-    params, history = train(train_set, val_set, mcfg, tcfg)
+    [(params, history)] = train([(train_set, val_set, mcfg, tcfg)])
     ref_params, ref_history = _train_reference(train_set, val_set, mcfg, tcfg)
     assert history == ref_history
     assert 1 < history.selected_epoch  # the selected snapshot is not the first
@@ -247,7 +247,7 @@ def test_stacked_folds_equal_the_loop_fold_by_fold(k, lam, weight_decay, hidden_
                      batch_size=12, loss=LossConfig(lam=lam), seed=10 + i))
         for i, n in enumerate(STACK_SIZES[k])
     ]
-    for i, (fold, (params, history)) in enumerate(zip(folds, train_folds(folds))):
+    for i, (fold, (params, history)) in enumerate(zip(folds, train(folds))):
         ref_params, ref_history = _train_reference(*fold)
         assert history == ref_history, i
         assert params.keys() == ref_params.keys()

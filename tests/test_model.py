@@ -28,7 +28,6 @@ from cfpt.model import (
     predict,
     run_crossval,
     train,
-    train_folds,
 )
 from helpers import network_gradients, network_loss, random_network_instance
 
@@ -184,48 +183,44 @@ def test_backward_rejects_empty_batch():
 
 
 def test_adam_first_step_hand_value():
-    params = {"w": np.array([1.0])}
-    state = AdamState.for_params(params)
+    state = AdamState.for_stack([{"w": np.array([1.0])}])
     g = 2.0
     lr = 0.01
     state.grad[:] = g
     adam_step(state, lr, 0.0)
     # bias correction makes m_hat = g, v_hat = g^2 on the first step
     expected = 1.0 - lr * g / (abs(g) + ADAM_EPS)
-    assert params["w"][0] == pytest.approx(expected, abs=1e-15)
-    assert state.t == 1
+    assert state.params["w"][0, 0] == pytest.approx(expected, abs=1e-15)
+    assert state.t.tolist() == [1]
 
 
 def test_adam_first_step_with_weight_decay():
     theta0 = 3.0
-    params = {"w": np.array([theta0])}
-    state = AdamState.for_params(params)
+    state = AdamState.for_stack([{"w": np.array([theta0])}])
     g_eff = 0.5 + 0.01 * theta0
     state.grad[:] = 0.5
     adam_step(state, 0.1, 0.01)
     expected = theta0 - 0.1 * g_eff / (abs(g_eff) + ADAM_EPS)
-    assert params["w"][0] == pytest.approx(expected, abs=1e-15)
+    assert state.params["w"][0, 0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_adam_zero_gradient_noop():
-    params = {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
-    state = AdamState.for_params(params)
+    state = AdamState.for_stack([{"w": np.array([1.0, -2.0]), "b": np.array([0.5])}])
     for _ in range(3):
         state.grad[:] = 0.0
         adam_step(state, 0.1, 0.0)
-    assert np.array_equal(params["w"], [1.0, -2.0])
-    assert np.array_equal(params["b"], [0.5])
+    assert np.array_equal(state.params["w"], [[1.0, -2.0]])
+    assert np.array_equal(state.params["b"], [[0.5]])
 
 
 def test_adam_deterministic_sequence():
     def run():
-        params = {"w": np.array([1.0, 2.0])}
-        state = AdamState.for_params(params)
+        state = AdamState.for_stack([{"w": np.array([1.0, 2.0])}])
         rng = np.random.default_rng(34)
         for _ in range(20):
-            state.grads["w"][:] = rng.normal(size=2)
+            state.grads["w"][0] = rng.normal(size=2)
             adam_step(state, 1e-3, 0.01)
-        return params["w"].copy()
+        return state.params["w"].copy()
 
     assert np.array_equal(run(), run())
 
@@ -294,7 +289,7 @@ def _fast_tcfg(**kw):
 
 def test_train_descends_on_separable_toy():
     tr, va = _toy_split()
-    params, hist = train(tr, va, ModelConfig(hidden_dims=(8,), seed=3), _fast_tcfg())
+    [(params, hist)] = train([(tr, va, ModelConfig(hidden_dims=(8,), seed=3), _fast_tcfg())])
     assert hist.train_loss[-1] < hist.train_loss[0]
     assert len(hist.train_loss) == len(hist.val_loss) == len(hist.val_auc) == 12
     assert hist.val_loss[hist.selected_epoch - 1] == min(hist.val_loss)
@@ -304,7 +299,7 @@ def test_train_descends_on_separable_toy():
 
 def test_train_selected_epoch_earliest_argmin():
     tr, va = _toy_split()
-    _, hist = train(tr, va, ModelConfig(hidden_dims=(4,), seed=3), _fast_tcfg())
+    [(_, hist)] = train([(tr, va, ModelConfig(hidden_dims=(4,), seed=3), _fast_tcfg())])
     first_argmin = int(np.argmin(hist.val_loss)) + 1
     assert hist.selected_epoch == first_argmin
 
@@ -312,8 +307,8 @@ def test_train_selected_epoch_earliest_argmin():
 def test_train_deterministic():
     tr, va = _toy_split()
     mcfg = ModelConfig(hidden_dims=(8,), seed=3)
-    p1, h1 = train(tr, va, mcfg, _fast_tcfg())
-    p2, h2 = train(tr, va, mcfg, _fast_tcfg())
+    [(p1, h1)] = train([(tr, va, mcfg, _fast_tcfg())])
+    [(p2, h2)] = train([(tr, va, mcfg, _fast_tcfg())])
     assert h1.train_loss == h2.train_loss
     assert h1.val_loss == h2.val_loss
     assert h1.selected_epoch == h2.selected_epoch
@@ -324,8 +319,8 @@ def test_train_deterministic():
 def test_train_lambda_changes_solution():
     tr, va = _toy_split()
     mcfg = ModelConfig(hidden_dims=(8,), seed=3)
-    p_multi, _ = train(tr, va, mcfg, _fast_tcfg(loss=LossConfig(lam=0.5)))
-    p_single, _ = train(tr, va, mcfg, _fast_tcfg(loss=LossConfig(lam=0.0)))
+    [(p_multi, _)] = train([(tr, va, mcfg, _fast_tcfg(loss=LossConfig(lam=0.5)))])
+    [(p_single, _)] = train([(tr, va, mcfg, _fast_tcfg(loss=LossConfig(lam=0.0)))])
     assert any(not np.array_equal(p_multi[k], p_single[k]) for k in p_multi)
 
 
@@ -333,17 +328,15 @@ def test_train_rejects_patient_overlap_and_empty():
     tr, va = _toy_split()
     mcfg = ModelConfig(hidden_dims=(4,), seed=0)
     with pytest.raises(ValueError):
-        train(tr, tr, mcfg, _fast_tcfg())
+        train([(tr, tr, mcfg, _fast_tcfg())])
     with pytest.raises(ValueError):
-        train(tr.subset([]), va, mcfg, _fast_tcfg())
+        train([(tr.subset([]), va, mcfg, _fast_tcfg())])
 
 
 def test_train_single_class_validation_gets_nan_auc():
     tr, va = _toy_split()
     va_one_class = va.subset([i for i, yy in enumerate(va.y) if yy == 0])
-    _, hist = train(
-        tr, va_one_class, ModelConfig(hidden_dims=(4,), seed=1), _fast_tcfg()
-    )
+    [(_, hist)] = train([(tr, va_one_class, ModelConfig(hidden_dims=(4,), seed=1), _fast_tcfg())])
     assert all(np.isnan(a) for a in hist.val_auc)
 
 
@@ -547,7 +540,7 @@ def test_train_validates_datasets_at_entry():
     tr, va = _toy_split()
     va.t_d[0] = np.nan
     with pytest.raises(ValueError, match="validation set: t_d"):
-        train(tr, va, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())
+        train([(tr, va, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())])
 
 
 def test_train_rejects_a_validation_set_of_another_width(monkeypatch):
@@ -560,7 +553,7 @@ def test_train_rejects_a_validation_set_of_another_width(monkeypatch):
     with pytest.raises(
         ValueError, match="validation set has 1 feature columns, train set has 2"
     ):
-        train(tr, narrow, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())
+        train([(tr, narrow, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())])
     assert passes == []  # refused before the first forward pass
 
 
@@ -571,7 +564,7 @@ def test_train_raises_when_no_epoch_has_finite_val_loss():
     va.t_d[:] = 1e200
     va.p[:] = 1
     with pytest.raises(ValueError, match="no epoch of 12 gave a finite validation loss"):
-        train(tr, va, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())
+        train([(tr, va, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())])
 
 
 def test_backward_fails_loudly_on_non_finite_predictions():
@@ -621,7 +614,7 @@ def test_a_diverging_fold_of_a_stack_is_named_by_its_number():
                 _run_folds(ds, assignments, mcfg, tcfg, stack)
 
 
-def test_train_folds_refuses_folds_that_differ_in_more_than_their_seeds():
+def test_train_refuses_folds_that_differ_in_more_than_their_seeds():
     tr, va = _toy_split()
     mcfg, tcfg = ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg(max_epochs=1)
     narrow = ScanDataset(tr.scan_ids, tr.patient_ids, tr.features[:, :1], tr.t_d, tr.p, tr.y)
@@ -632,22 +625,39 @@ def test_train_folds_refuses_folds_that_differ_in_more_than_their_seeds():
         (narrow, narrow_val, mcfg, tcfg),
     ):
         with pytest.raises(ValueError, match="^the folds of a stack must share"):
-            train_folds([(tr, va, mcfg, tcfg), other])
+            train([(tr, va, mcfg, tcfg), other])
     seeds_only = (tr, va, replace(mcfg, seed=1), replace(tcfg, seed=2))
-    assert len(train_folds([(tr, va, mcfg, tcfg), seeds_only])) == 2
+    assert len(train([(tr, va, mcfg, tcfg), seeds_only])) == 2
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_run_crossval_refuses_one_class_before_any_fold_trains(monkeypatch, label):
+    import cfpt.model
+
+    def trains(folds):
+        raise AssertionError("a fold trained")
+
+    monkeypatch.setattr(cfpt.model, "train", trains)
+    monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
+    ds = _toy_dataset(np.random.default_rng(42), n_patients=9)
+    ds.y[:] = label
+    with pytest.raises(
+        ValueError, match=rf"^every scan has y = {label}: crossval needs both classes$"
+    ):
+        run_crossval(ds, ModelConfig(hidden_dims=(3,), seed=0), _fast_tcfg(), k=3)
 
 
 def test_run_crossval_folds_keep_every_config_field(monkeypatch):
     import cfpt.model
 
     seen = []
-    real_train_folds = cfpt.model.train_folds
+    real_train = cfpt.model.train
 
     def spy(folds):
         seen.extend((mcfg, tcfg) for _, _, mcfg, tcfg in folds)
-        return real_train_folds(folds)
+        return real_train(folds)
 
-    monkeypatch.setattr(cfpt.model, "train_folds", spy)
+    monkeypatch.setattr(cfpt.model, "train", spy)
     # the spy sees only this process: train the folds here, not in workers
     monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
     ds = _toy_dataset(np.random.default_rng(39), n_patients=9)

@@ -80,7 +80,38 @@ def test_train_steps_through_the_traced_backward_and_adam_step(monkeypatch):
         )
 
     n_train, batch_size, epochs = 21, 8, 3  # every epoch ends on a partial batch
-    train(scans("t", n_train), scans("v", 6), ModelConfig(hidden_dims=(4,)),
-          TrainConfig(max_epochs=epochs, batch_size=batch_size))
+    train([(scans("t", n_train), scans("v", 6), ModelConfig(hidden_dims=(4,)),
+            TrainConfig(max_epochs=epochs, batch_size=batch_size))])
     steps = math.ceil(n_train / batch_size) * epochs
     assert calls == {"backward": steps, "adam_step": steps}
+
+
+def test_crossval_trains_through_the_traced_train(monkeypatch):
+    # the tracer's model.train target wraps cfpt.model.train; a crossval that
+    # trained its folds by another name would leave model.train.self_s at 0
+    import cfpt.model
+    from cfpt.model import ModelConfig, ScanDataset, TrainConfig, run_crossval
+
+    calls = []
+    real_train = cfpt.model.train
+
+    def spy(folds):
+        calls.append(len(folds))
+        return real_train(folds)
+
+    monkeypatch.setattr(cfpt.model, "train", spy)
+    # one CPU: the folds train in this process, where the tracer runs
+    monkeypatch.setattr(cfpt.model, "_available_cpus", lambda: 1)
+    rng = np.random.default_rng(1)
+    n = 24
+    p = np.arange(n) % 2
+    ds = ScanDataset(
+        [f"s{i}" for i in range(n)], [f"p{i}" for i in range(n)],
+        rng.normal(size=(n, 3)) + p[:, None], rng.uniform(1.0, 5.0, n), p, p,
+    )
+    for k in (2, 5):
+        run_crossval(ds, ModelConfig(hidden_dims=(4,)), TrainConfig(max_epochs=1), k=k)
+    assert calls == [2, 5]
+    spans = _spans()
+    assert ("cfpt.model", "train", "model.train") in spans.TARGETS
+    assert spans.missing_targets() == []

@@ -216,12 +216,12 @@ def test_null_cohort_trained_classifier_near_chance():
     tr = ds.subset_patients(pats[:180])
     va = ds.subset_patients(pats[180:240])
     te = ds.subset_patients(pats[240:])
-    params, _ = train(
+    [(params, _)] = train([(
         tr,
         va,
         ModelConfig(hidden_dims=(8,), seed=0),
         TrainConfig(max_epochs=10, lr0=1e-3, lr_decay_epochs=(), seed=0),
-    )
+    )])
     preds = predict(params, te, 0)
     auc, _ = roc_auc(preds.y_hat, te.y)
     assert 0.35 < auc < 0.65
