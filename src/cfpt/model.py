@@ -12,8 +12,8 @@ takes a list of folds and trains them in lock-step. Their networks are one
 stack, with the fold as the leading axis of every parameter, gradient and
 moment buffer, so one minibatch step updates them all, each to the bytes
 it would reach alone; one network is a stack of one. Each forked worker
-process (up to one per available CPU) owns one such group of folds: it
-inherits the dataset, subsets its folds' patients, trains them as one
+process (up to one per available CPU) owns a run of consecutive folds:
+it inherits the dataset, subsets its folds' patients, trains them as one
 stack and predicts their test scans.
 
 Everything is plain float64 numpy; all randomness flows from explicit
@@ -119,12 +119,15 @@ class ScanDataset(ScanTable):
         return self.features.shape[1]
 
     def validate(self, what: str = "dataset") -> None:
-        """Raise ValueError unless features and t_d are finite and p and y
-        are binary, naming the first offending scan.
+        """Raise ValueError unless features is a 2-d matrix with a row per
+        scan and at least one column, naming its shape, and unless features
+        and t_d are finite and p and y are binary, naming the first
+        offending scan.
 
         The one check of training data: the training loop itself runs
         unchecked kernels.
         """
+        _feature_matrix((self.scan_ids, self.features), what)
         for column, ok, problem in (
             ("features", np.isfinite(self.features), "non-finite values"),
             ("t_d", np.isfinite(self.t_d), "a non-finite value"),
@@ -452,13 +455,13 @@ def _train_loss(loss: np.ndarray, batch_size: int) -> float:
 def _check_split(train_set: ScanDataset, val_set: ScanDataset) -> None:
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    train_set.validate("train set")
+    val_set.validate("validation set")
     if val_set.input_dim != train_set.input_dim:
         raise ValueError(
             f"validation set has {val_set.input_dim} feature columns, "
             f"train set has {train_set.input_dim}"
         )
-    train_set.validate("train set")
-    val_set.validate("validation set")
     overlap = set(train_set.patient_ids) & set(val_set.patient_ids)
     if overlap:
         raise ValueError(
@@ -487,6 +490,8 @@ def train(folds) -> list[tuple[dict, TrainHistory]]:
     lowest fold whose split is refused or in which no epoch has a finite
     validation loss.
     """
+    if not folds:
+        raise ValueError("train needs at least one fold, got none")
     for i, (train_set, val_set, _, _) in enumerate(folds):
         try:
             _check_split(train_set, val_set)
@@ -709,13 +714,15 @@ def run_crossval(
     seeds derived from (config seed, fold index).
 
     The folds run in ``min(k, available CPUs)`` forked worker processes;
-    worker ``w`` owns the folds ``f`` with ``f % workers == w`` and trains
-    them as one stack (:func:`train`), so each worker's share is one job.
-    The workers inherit the dataset, the fold assignments and the configs
-    by fork and are sent only fold numbers. When that count is one or
-    ``fork`` is unavailable, all folds form one stack in this process.
-    Every layout gives the same bytes. Each fold's predictions and history
-    come back, and the predictions are pooled here in fold order.
+    worker ``w`` owns a run of consecutive folds, ``w * k // workers`` up
+    to ``(w + 1) * k // workers``, and trains them as one stack
+    (:func:`train`), so each worker's share is one job. The workers
+    inherit the dataset, the fold assignments and the configs by fork and
+    are sent only fold numbers. When that count is one or ``fork`` is
+    unavailable, all folds form one stack in this process. Every layout
+    gives the same bytes. Each fold's predictions and history come back in
+    fold order, as the workers' runs follow one another, and the
+    predictions are pooled here in that order.
 
     A dataset whose ``y`` holds one value raises ValueError naming that
     value before any fold trains: no fold could learn to separate the
@@ -739,7 +746,7 @@ def run_crossval(
     # (pthread_atfork).
     pooled = "fork" in multiprocessing.get_all_start_methods()
     workers = min(k, _available_cpus()) if pooled else 1
-    groups = [tuple(range(w, k, workers)) for w in range(workers)]
+    groups = [tuple(range(w * k // workers, (w + 1) * k // workers)) for w in range(workers)]
     if workers > 1:
         import scipy.special  # noqa: F401 -- once here, not in each worker after the fork
         context = multiprocessing.get_context("fork")
@@ -751,10 +758,7 @@ def run_crossval(
     else:
         done = [_run_folds(*crossval, groups[0])]
 
-    by_fold = dict(zip(
-        (fold for group in groups for fold in group), (r for rs in done for r in rs)
-    ))
-    tables, histories = zip(*(by_fold[fold] for fold in range(k)))
+    tables, histories = zip(*(r for rs in done for r in rs))
     predictions = PredictionTable(
         [sid for table in tables for sid in table.scan_ids],
         *(np.concatenate([getattr(table, name) for table in tables])

@@ -150,26 +150,59 @@ def test_mcnemar_chi_square_p_value_matches_scipy():
         assert res.p_value == pytest.approx(chi2.sf(res.statistic, df=1), rel=1e-12, abs=0)
 
 
-def _modules_after_importing_the_cli():
-    """The names in ``sys.modules`` of a fresh interpreter after ``import cfpt.cli``."""
+def _modules_after(code, cwd=None):
+    """The names in ``sys.modules`` of a fresh interpreter, run in ``cwd``,
+    after it runs ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, cfpt.cli; print(*sys.modules)"
+    code = f"{code}\nimport sys\nprint()\nprint(*sys.modules)"
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.splitlines()[-1].split()
+
+
+def _scipy_modules(loaded):
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    assert "scipy.stats" not in _modules_after_importing_the_cli()
+    assert "scipy.stats" not in _modules_after("import cfpt.cli")
 
 
 def test_importing_the_cli_loads_no_scipy():
     # scipy.special is imported where training needs it, and once before
     # crossval forks its workers
-    loaded = _modules_after_importing_the_cli()
-    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert _scipy_modules(_modules_after("import cfpt.cli")) == []
+
+
+_EVERY_STAGE_BUT_CROSSVAL = r"""
+import numpy as np
+from cfpt.cli import main, read_labels_csv, write_predictions_csv
+from cfpt.model import PredictionTable
+
+with open("exp.cfg", "w", encoding="utf-8") as fh:
+    fh.write("cohort.n_patients = 40\ncohort.feature_dim = 3\n")
+for argv in (
+    ["synth", "--config", "exp.cfg", "--out", "data"],
+    ["label", "data/patients.csv", "--out", "data/labels.csv"],
+    ["km", "data/labels.csv", "--out", "km.csv"],
+):
+    assert main(argv) == 0, argv
+labels = read_labels_csv("data/labels.csv")
+y_hat = (labels.y + np.linspace(0.1, 0.8, len(labels))) / 2
+write_predictions_csv("predictions.csv", PredictionTable(
+    labels.scan_ids, y_hat, labels.t_d, np.zeros(len(labels), np.int64)
+))
+assert main(["eval", "predictions.csv", "data/labels.csv", "--out", "report"]) == 0
+"""
+
+
+def test_every_stage_but_crossval_loads_no_scipy(tmp_path):
+    # what the README promises: only training needs scipy.special
+    assert _scipy_modules(_modules_after(_EVERY_STAGE_BUT_CROSSVAL, cwd=tmp_path)) == []
+    assert (tmp_path / "report" / "report.txt").is_file()
 
 
 def test_mcnemar_branches_agree_near_switchover():

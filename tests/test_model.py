@@ -13,6 +13,7 @@ from cfpt.model import (
     ADAM_EPS,
     AdamState,
     FoldAssignment,
+    FoldError,
     ModelConfig,
     ScanDataset,
     TrainConfig,
@@ -463,7 +464,7 @@ def test_run_crossval_sends_its_workers_only_fold_numbers(monkeypatch):
     pooled = run_crossval(ds, mcfg, tcfg, k=3)
 
     # one task per worker, carrying nothing but its folds' numbers
-    assert folds == [[0, 2], [1]], folds
+    assert folds == [[0], [1, 2]], folds
     assert max(sizes) < 1024, sizes
     assert pooled.predictions.scan_ids == here.predictions.scan_ids
     for name in ("y_hat", "t_pred", "fold"):
@@ -555,6 +556,28 @@ def test_train_rejects_a_validation_set_of_another_width(monkeypatch):
     ):
         train([(tr, narrow, ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg())])
     assert passes == []  # refused before the first forward pass
+
+
+def test_train_refuses_an_empty_list_of_folds():
+    with pytest.raises(ValueError, match="^train needs at least one fold, got none$"):
+        train([])
+
+
+@pytest.mark.parametrize("columns", [None, 0])  # a 1-d matrix, a matrix with no column
+@pytest.mark.parametrize("which", ["train", "validation"])
+def test_train_names_the_set_whose_features_are_not_a_matrix(which, columns):
+    tr, va = _toy_split()
+    sets = {"train": tr, "validation": va}
+    bad = sets[which]
+    shape = (len(bad),) if columns is None else (len(bad), columns)
+    sets[which] = ScanDataset(bad.scan_ids, bad.patient_ids, np.zeros(shape), bad.t_d, bad.p, bad.y)
+    mcfg, tcfg = ModelConfig(hidden_dims=(4,), seed=0), _fast_tcfg()
+    with pytest.raises(FoldError, match=(
+        rf"^{which} set: expected a feature matrix with a row for each of {len(bad)} scan ids "
+        rf"and at least one column, got shape {re.escape(str(shape))}$"
+    )) as caught:
+        train([(tr, va, mcfg, tcfg), (sets["train"], sets["validation"], mcfg, tcfg)])
+    assert caught.value.index == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
