@@ -33,6 +33,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
+from ._ranges import check_ranges
 from .labels import (
     LabelTable, PatientTable, contract_break, derive_scan_labels, first_rows, outcome_disagrees,
 )
@@ -80,13 +81,12 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     paths: dict = field(default_factory=dict)
 
+    ranges = {"k_folds": "[2, inf)", "thresholds": "(0, inf]"}
+
     def __post_init__(self):
         if self.mode not in ("single_task", "multi_task"):
             raise ConfigError(f"mode must be single_task or multi_task, got {self.mode!r}")
-        if self.k_folds < 2:
-            raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
-        if not all(t > 0 for t in self.thresholds):
-            raise ConfigError(f"thresholds must be positive, got {self.thresholds}")
+        check_ranges(self)
         if self.mode == "single_task":
             if self.train.loss.lam != 0.0:
                 object.__setattr__(
@@ -562,8 +562,8 @@ def _make_parent(path) -> None:
 
 def cmd_synth(cfg: ExperimentConfig, out_dir) -> CohortSummary:
     """Generate the cohort and write patients/scans/truth CSVs."""
-    os.makedirs(out_dir, exist_ok=True)
     patients, features, onsets = generate_cohort(cfg.cohort)
+    os.makedirs(out_dir, exist_ok=True)  # after the draw, so a failed one makes no directory
     # scans first: its writer refuses non-finite features before writing
     write_scans_csv(os.path.join(out_dir, "scans.csv"), features)
     write_patients_csv(os.path.join(out_dir, "patients.csv"), patients)

@@ -22,10 +22,11 @@ accepts scalars or numpy arrays (broadcast together) and computes in
 double precision.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._ranges import check_ranges
 
 # cross entropy clamps predicted probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]
 # so its log terms stay finite
@@ -43,11 +44,10 @@ class LossConfig:
     lam: float = 0.5
     epsilon: float = 1.0
 
+    ranges = {"lam": "[0, inf)", "epsilon": "(0, inf)"}
+
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+        check_ranges(self)
 
 
 # checks call array methods (a.all(), not np.all(a)), which cost less per

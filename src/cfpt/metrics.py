@@ -345,6 +345,9 @@ def evaluate(
     """
     matched = _rows_by_scan_id(predictions, labels)
     y, p, t_d = labels.y, labels.p, labels.t_d
+    if p.all():
+        raise ValueError("the non-cancer region analysis needs scans with p = 0 "
+                         "(never-diagnosed patients), and these labels have none")
     y_hat = predictions.y_hat[matched]
     t_pred = predictions.t_pred[matched]
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._ranges import check_ranges
 from .labels import LabelTable, ScanTable
 # crl, crl_grad and cel stay importable here for perfbench's tracer, which
 # wraps functions in the namespace of the module that calls them
@@ -54,10 +55,11 @@ class ModelConfig:
     hidden_dims: tuple[int, ...] = (64, 64)
     seed: int = 0
 
+    ranges = {"hidden_dims": "[1, inf)", "seed": "[0, inf)"}
+
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -71,24 +73,17 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
 
+    ranges = {
+        "max_epochs": "[1, inf)", "lr0": "(0, inf)", "lr_decay_factor": "(0, 1)",
+        "lr_decay_epochs": "[1, inf)", "weight_decay": "[0, inf)", "batch_size": "[1, inf)",
+        "seed": "[0, inf)",
+    }
+
     def __post_init__(self):
         object.__setattr__(
             self, "lr_decay_epochs", tuple(int(e) for e in self.lr_decay_epochs)
         )
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0 < self.lr0 < math.inf:
-            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
-        if any(e < 1 for e in self.lr_decay_epochs):
-            raise ValueError(f"lr_decay_epochs must be >= 1, got {self.lr_decay_epochs}")
-        if not 0 < self.lr_decay_factor < 1:
-            raise ValueError(
-                f"lr_decay_factor must lie in (0, 1), got {self.lr_decay_factor}"
-            )
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_ranges(self)
 
 
 @dataclass

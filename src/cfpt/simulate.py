@@ -21,11 +21,11 @@ ultimately diagnosed, a few scans per patient a year apart) mimic a real
 annual-screening cohort; all finer structure is invented.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._ranges import check_ranges
 from .labels import PatientTable, derive_scan_labels, first_rows
 
 
@@ -50,38 +50,20 @@ class CohortConfig:
     noise_sd: float = 0.5
     seed: int = 0
 
+    ranges = {
+        "n_patients": "[1, inf)", "feature_dim": "[1, inf)",
+        "scan_interval": "(0, inf)", "study_horizon": "(0, inf)", "dropout_prob": "[0, 1)",
+        "onset_scale": "(0, inf)", "onset_shape": "(0, inf)", "risk_coeff": "(-inf, inf)",
+        "progression_gain": "(-inf, inf)", "noise_sd": "[0, inf)", "seed": "[0, inf)",
+    }
+
     def __post_init__(self):
-        if self.n_patients < 1:
-            raise ValueError(f"n_patients must be >= 1, got {self.n_patients}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if not 0 < self.scan_interval < math.inf:
+        check_ranges(self)
+        if not self.scan_interval <= self.study_horizon <= MAX_SCAN_INTERVALS * self.scan_interval:
             raise ValueError(
-                f"scan_interval must be positive and finite, got {self.scan_interval}"
+                f"study_horizon must lie in [scan_interval, {MAX_SCAN_INTERVALS} * scan_interval], "
+                f"got {self.study_horizon!r} with scan_interval {self.scan_interval!r}"
             )
-        if not self.scan_interval <= self.study_horizon < math.inf:
-            raise ValueError(
-                f"study_horizon must be finite and at least one scan_interval, "
-                f"got {self.study_horizon}"
-            )
-        if not self.study_horizon <= MAX_SCAN_INTERVALS * self.scan_interval:
-            raise ValueError(
-                f"study_horizon must be at most {MAX_SCAN_INTERVALS} scan_intervals, "
-                f"got {self.study_horizon} with scan_interval {self.scan_interval}"
-            )
-        if not 0 <= self.dropout_prob < 1:
-            raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        if not (0 < self.onset_scale < math.inf and 0 < self.onset_shape < math.inf):
-            raise ValueError(
-                "Weibull onset parameters onset_scale and onset_shape must be positive and "
-                f"finite, got {self.onset_scale} and {self.onset_shape}"
-            )
-        if not math.isfinite(self.risk_coeff):
-            raise ValueError(f"risk_coeff must be finite, got {self.risk_coeff}")
-        if not math.isfinite(self.progression_gain):
-            raise ValueError(f"progression_gain must be finite, got {self.progression_gain}")
-        if not 0 <= self.noise_sd < math.inf:
-            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)

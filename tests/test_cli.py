@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from typing import get_origin
 
 import numpy as np
 import pytest
@@ -168,8 +169,60 @@ def test_config_mode_invariants():
 
 
 def test_config_rejects_a_single_fold():
-    with pytest.raises(ConfigError, match=r"^k_folds must be >= 2, got 1$"):
+    with pytest.raises(ConfigError, match=r"^k_folds must lie in \[2, inf\), got 1$"):
         build_experiment_config({"k_folds": "1"})
+
+
+_SETTINGS = (CohortConfig, ModelConfig, TrainConfig, LossConfig, ExperimentConfig)
+
+
+@pytest.mark.parametrize("cls", _SETTINGS)
+def test_every_numeric_setting_declares_its_range(cls):
+    # nested configs, mode and paths have no range; the entries follow the
+    # fields' order, so check_ranges names the first field out of range
+    numeric = [f.name for f in fields(cls) if f.type in (int, float) or get_origin(f.type) is tuple]
+    assert list(cls.ranges) == numeric
+    for interval in cls.ranges.values():
+        assert re.fullmatch(r"[\[(]-?\w+, -?\w+[\])]", interval), interval
+        lo, hi = map(float, interval[1:-1].split(", "))
+        assert lo < hi
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, message",
+    [
+        (LossConfig, {"epsilon": 0.0}, "epsilon must lie in (0, inf), got 0.0"),
+        (LossConfig, {"lam": math.nan}, "lam must lie in [0, inf), got nan"),
+        (TrainConfig, {"lr_decay_factor": 1.0}, "lr_decay_factor must lie in (0, 1), got 1.0"),
+        (TrainConfig, {"seed": -1}, "seed must lie in [0, inf), got -1"),
+        (ModelConfig, {"hidden_dims": (8, 0)}, "hidden_dims must lie in [1, inf), got (8, 0)"),
+        (CohortConfig, {"risk_coeff": -math.inf}, "risk_coeff must lie in (-inf, inf), got -inf"),
+        (CohortConfig, {"seed": -1, "n_patients": 0}, "n_patients must lie in [1, inf), got 0"),
+        (ExperimentConfig, {"thresholds": (1.0, math.nan)},
+         "thresholds must lie in (0, inf], got (1.0, nan)"),
+    ],
+)
+def test_a_setting_outside_its_range_is_named_with_its_interval(cls, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        cls(**kwargs)
+    assert str(err.value) == message
+
+
+def test_a_closed_end_of_a_range_is_inside_it():
+    assert LossConfig(lam=0.0).lam == 0.0
+    assert ExperimentConfig(thresholds=(math.inf,)).thresholds == (math.inf,)
+    assert CohortConfig(dropout_prob=0.0, noise_sd=0.0, seed=0).seed == 0
+
+
+def test_a_negative_seed_in_the_config_file_is_one_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("model.seed = -3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error:config: seed must lie in [0, inf), got -3",
+    ]
+    assert not out.exists()
 
 
 def test_experiment_config_takes_its_model_defaults_from_model_config():
@@ -207,7 +260,7 @@ def test_crossval_rejects_a_decay_epoch_below_one(tmp_path, capsys):
     cfg_path.write_text("train.lr_decay_epochs = -1\n", encoding="utf-8")
     assert main(["crossval", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error:config: lr_decay_epochs must be >= 1")
+    assert line == "error:config: lr_decay_epochs must lie in [1, inf), got (-1,)"
     assert not (tmp_path / "run").exists()
 
 
@@ -1233,8 +1286,8 @@ def test_main_success_and_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:config: unknown config key")
     fresh = tmp_path / "fresh"
     for command, line, message in (
-        ("synth", "cohort.noise_sd = inf\n", "noise_sd must be finite"),
-        ("crossval", "train.weight_decay = inf\n", "weight_decay must be finite"),
+        ("synth", "cohort.noise_sd = inf\n", "noise_sd must lie in [0, inf), got inf"),
+        ("crossval", "train.weight_decay = inf\n", "weight_decay must lie in [0, inf), got inf"),
     ):
         bad.write_text(line, encoding="utf-8")
         assert main([command, "--config", str(bad), "--out", str(fresh)]) == 1
@@ -1246,6 +1299,33 @@ def test_main_success_and_errors(tmp_path, capsys):
 
     assert main(["label", str(tmp_path / "nope.csv"), "--out", str(out / "l.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:io:")
+
+
+def test_failed_synth_makes_no_directory(tmp_path, monkeypatch, capsys):
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 58.2 TiB")
+
+    monkeypatch.setattr(cli, "generate_cohort", out_of_memory)
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error:memory: Unable to allocate 58.2 TiB"]
+    assert not out.exists()
+
+
+def test_main_eval_refuses_labels_without_a_never_diagnosed_scan(tmp_path, capsys):
+    # two cancer patients' scans: both classes, so the AUC is defined, but no p = 0 scan
+    labels = tmp_path / "labels.csv"
+    labels.write_text("scan_id,patient_id,t_d,p,y,right_censored\n"
+                      "s0,pa,1.0,1,1,0\ns1,pb,2.0,1,0,0\n", encoding="utf-8")
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("\n".join(_CLEAN_CSV["predictions.csv"]) + "\n", encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["eval", str(predictions), str(labels), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error:data: the non-cancer region analysis needs scans with p = 0 "
+        "(never-diagnosed patients), and these labels have none",
+    ]
+    assert not out.exists()
 
 
 def test_main_eval_rejects_predictions_outside_their_range(tmp_path, capsys):
@@ -1613,6 +1693,19 @@ def test_smoke_config_round_trip(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "auc: 0.940292", "wrote report and csv files to report",
     ]
+
+
+@pytest.mark.parametrize("command", ["synth", "crossval"])
+def test_negative_seed_fails_at_load(tmp_path, monkeypatch, capsys, command):
+    # smoke.cfg's inputs are not in the work directory: crossval is refused
+    # for its seed before it reads them
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", str(CONFIGS / "smoke.cfg"), "--out", "d", "--seed", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error:config: seed must lie in [0, inf), got -1",
+    ]
+    assert not (tmp_path / "d").exists()
 
 
 def test_reference_config_loads():

@@ -48,7 +48,7 @@ def test_config_validation():
 
 
 def test_config_needs_a_feature_column():
-    with pytest.raises(ValueError, match=r"^feature_dim must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^feature_dim must lie in \[1, inf\), got 0$"):
         CohortConfig(feature_dim=0)
 
 
